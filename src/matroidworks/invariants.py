@@ -1,10 +1,12 @@
 """Tutte, characteristic, and chromatic polynomials; log-concavity; Ingleton.
 
 All coefficients are plain Python integers.  The Tutte polynomial comes
-from the corank-nullity subset sum up to n = 20 (rank of a subset is the
-best intersection with a basis) and falls back to deletion-contraction
-above that.  The characteristic polynomial is computed along two
-independent routes and the results asserted equal on every call.
+from the corank-nullity subset sum up to n = 20 and falls back to
+deletion-contraction above that.  The subset sum reads one rank table,
+filled by a dynamic program over subsets, and expands each term once per
+(rank, size) cell.  The characteristic polynomial is the specialization
+chi(q) = (-1)^r T(1-q, 0); the tests check it against the direct signed
+subset sum.
 """
 
 from __future__ import annotations
@@ -203,31 +205,49 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-def _subset_ranks(m: Matroid) -> list[int]:
-    """rank(S) for every subset mask, as the best overlap with a basis."""
-    out = [0] * (1 << m.n)
+def _rank_table(m: Matroid) -> bytearray:
+    """rank(S) for every subset mask S.
+
+    An independent S has rank |S|.  A dependent S contains a circuit, and
+    dropping an element of that circuit keeps the rank, while no deletion
+    raises it; so rank(S) is the largest rank(S - e) over e in S.
+    """
+    indep = m._independent_masks()
+    ranks = bytearray(1 << m.n)
     for s in range(1, 1 << m.n):
-        out[s] = max((s & b).bit_count() for b in m.bases)
-    return out
+        if s in indep:
+            ranks[s] = s.bit_count()
+            continue
+        best = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            if ranks[s ^ low] > best:
+                best = ranks[s ^ low]
+            rest ^= low
+        ranks[s] = best
+    return ranks
 
 
 def _tutte_subset_sum(m: Matroid) -> BiPoly:
-    r, n = m.rank, m.n
-    ranks = _subset_ranks(m)
-    xpow = [UniPoly((-1, 1)) ** a for a in range(r + 1)]  # (x-1)^a
-    ypow = [UniPoly((-1, 1)) ** b for b in range(n - r + 1)]
+    """Sum of (x-1)^(r - r(S)) (y-1)^(|S| - r(S)) over all subsets S.
+
+    The term depends only on (r(S), |S|), so subsets are first counted per
+    cell and each cell's product is expanded once, by the binomial theorem.
+    """
+    r = m.rank
+    hist: dict = {}
+    for s, rs in enumerate(_rank_table(m)):
+        key = (rs, s.bit_count())
+        hist[key] = hist.get(key, 0) + 1
     acc: dict = {}
-    for s in range(1 << n):
-        rs = ranks[s]
-        xa = xpow[r - rs]
-        yb = ypow[s.bit_count() - rs]
-        for i, a in enumerate(xa.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(yb.coeffs):
-                if b:
-                    key = (i, j)
-                    acc[key] = acc.get(key, 0) + a * b
+    for (rs, size), count in hist.items():
+        a, b = r - rs, size - rs
+        for i in range(a + 1):
+            xa = count * comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                key = (i, j)
+                acc[key] = acc.get(key, 0) + xa * comb(b, j) * (-1) ** (b - j)
     return BiPoly(acc)
 
 
@@ -262,21 +282,9 @@ def tutte_polynomial(m: Matroid) -> BiPoly:
 
 
 def characteristic_polynomial(m: Matroid) -> UniPoly:
-    """chi(q) = (-1)^rk T(1-q, 0), cross-checked against the direct signed
-    subset sum whenever that sum is feasible."""
-    t = tutte_polynomial(m)
-    one_minus_q = UniPoly((1, -1))
-    via_tutte = t.specialize(one_minus_q, UniPoly())
-    if m.rank % 2:
-        via_tutte = -via_tutte
-    if m.n <= SUBSET_SUM_LIMIT:
-        ranks = _subset_ranks(m)
-        direct = [0] * (m.rank + 1)
-        for s in range(1 << m.n):
-            sign = -1 if s.bit_count() % 2 else 1
-            direct[m.rank - ranks[s]] += sign
-        assert UniPoly(direct) == via_tutte, "characteristic polynomial paths disagree"
-    return via_tutte
+    """chi(q) = (-1)^rk T(1-q, 0)."""
+    chi = tutte_polynomial(m).specialize(UniPoly((1, -1)), UniPoly())
+    return -chi if m.rank % 2 else chi
 
 
 def reduced_characteristic_polynomial(m: Matroid) -> UniPoly:
@@ -360,7 +368,12 @@ def ingleton_violation(
     subsets of size at most 2, which suffices for the Vamos witness; the
     exhaustive mode ranges over all nonempty subset quadruples and is meant
     for small ground sets.  A violation certifies non-realizability over
-    every field.
+    every field.  The witness is the first violator in lexicographic order
+    of (A, B, C, D) over the subset pool.
+
+    The search is pruned (see below); ``search_budget`` caps the quadruples
+    that survive the pruning and reach the full inequality check, so a
+    matroid whose pruning leaves nothing to check passes under any budget.
     """
 
     class _Ranks(dict):
@@ -370,6 +383,11 @@ def ingleton_violation(
             return r
 
     rk = _Ranks()
+
+    def mutual(a, b, c=0):
+        """I(A;B|C) = r(A+C) + r(B+C) - r(A+B+C) - r(C), >= 0 by submodularity."""
+        return rk[a | c] + rk[b | c] - rk[a | b | c] - rk[c]
+
     full = (1 << m.n) - 1
     if exhaustive:
         pool = list(range(1, full + 1))
@@ -381,16 +399,34 @@ def ingleton_violation(
             for j in range(i + 1, m.n)
         ]
         pool.sort(key=mask_elements)
+    # Ingleton's inequality reads I(A;B) <= I(A;B|C) + I(A;B|D) + I(C;D),
+    # every term nonnegative.  Three cuts follow, none of which can skip
+    # the first violator:
+    # (a) The inequality is symmetric under A<->B and under C<->D, so the
+    #     lexicographically first violator has A before B and C before D in
+    #     pool order.  A = B or C = D never violates (both reduce to
+    #     submodularity); only exhaustive mode, where parts may overlap,
+    #     meets those cases.
+    # (b) When I(A;B) = 0 the left side is 0 and no C, D can violate.
+    # (c) A violation needs I(A;B|C) < I(A;B) and I(A;B|D) < I(A;B), so C
+    #     and D both come from the candidates passing that test.
     checked = 0
-    for a in pool:
-        for b in pool:
+    for i, a in enumerate(pool):
+        for b in pool[i + 1:]:
             if not exhaustive and a & b:
                 continue
-            for c in pool:
-                if not exhaustive and (a | b) & c:
-                    continue
-                for d in pool:
-                    if not exhaustive and (a | b | c) & d:
+            gap = mutual(a, b)
+            if gap == 0:
+                continue
+            ab = a | b
+            cands = [
+                c
+                for c in pool
+                if (exhaustive or not ab & c) and mutual(a, b, c) < gap
+            ]
+            for k, c in enumerate(cands):
+                for d in cands[k + 1:]:
+                    if not exhaustive and c & d:
                         continue
                     checked += 1
                     if checked > search_budget:

@@ -50,7 +50,7 @@ def subset_key(mask: int) -> tuple[int, ...]:
 class SubsetFamily:
     """An immutable, deduplicated family of subsets of {1..n} in canonical order."""
 
-    __slots__ = ("n", "masks")
+    __slots__ = ("n", "masks", "_members")
 
     def __init__(self, n: int, subsets: Iterable[int | Iterable[int]]):
         if not isinstance(n, int) or n < 1:
@@ -65,6 +65,7 @@ class SubsetFamily:
             seen.add(m)
         self.n = n
         self.masks = tuple(sorted(seen, key=subset_key))
+        self._members = frozenset(seen)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.masks)
@@ -73,7 +74,7 @@ class SubsetFamily:
         return len(self.masks)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
+        return mask in self._members
 
     def __eq__(self, other) -> bool:
         return (
@@ -311,27 +312,32 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     sizes = {m.bit_count() for m in fam}
     if len(sizes) != 1:
         raise UnequalBasisSizes(f"bases of different sizes: {sorted(sizes)}")
-    basis_set = set(fam.masks)
+    basis_set = fam._members
+    ground = (1 << n) - 1
     for a in fam.masks:
+        # One mask per x in A, ascending: x itself plus every y outside A
+        # with A - x + y a basis.  B passes the exchange test at x exactly
+        # when it meets that mask (x in B means x is not in A - B), so each
+        # (A, B, x) check is one AND and the loops keep the order A, B, x.
+        reach = []
+        rest = a
+        while rest:
+            x = rest & -rest
+            mask = x
+            out = ground & ~a
+            while out:
+                y = out & -out
+                if (a ^ x) | y in basis_set:
+                    mask |= y
+                out ^= y
+            reach.append(mask)
+            rest ^= x
         for b in fam.masks:
-            if a == b:
-                continue
-            diff = a & ~b
-            while diff:
-                x = diff & -diff
-                ok = False
-                add = b & ~a
-                while add:
-                    y = add & -add
-                    if (a & ~x) | y in basis_set:
-                        ok = True
-                        break
-                    add &= ~y
-                if not ok:
+            for mask in reach:
+                if not mask & b:
                     raise ExchangeAxiomViolation(
-                        mask_elements(a), mask_elements(b), mask_elements(x)[0]
+                        mask_elements(a), mask_elements(b), mask_elements(mask & a)[0]
                     )
-                diff &= ~x
     return Matroid(n, fam.masks, _validated=True)
 
 
@@ -441,10 +447,13 @@ def matroid_to_json_dict(m: Matroid) -> dict:
 
 
 def matroid_from_json_dict(data) -> Matroid:
-    """Strict parser for the interchange dict {"n":..,"rank":..,"bases":[..]}."""
+    """Strict parser for the interchange dict {"n":..,"bases":[..]}.
+
+    An optional "rank" field must equal the size of the bases.
+    """
     if not isinstance(data, dict):
         raise InputError("matroid JSON must be an object")
-    for key in ("n", "rank", "bases"):
+    for key in ("n", "bases"):
         if key not in data:
             raise InputError(f"matroid JSON missing field {key!r}")
     n = data["n"]
@@ -466,7 +475,7 @@ def matroid_from_json_dict(data) -> Matroid:
         seen.add(m)
         masks.append(m)
     matroid = matroid_from_bases(n, masks)
-    if matroid.rank != data["rank"]:
+    if "rank" in data and matroid.rank != data["rank"]:
         raise InputError(
             f"declared rank {data['rank']!r} but bases have size {matroid.rank}"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, SearchBudgetExceeded
+from .errors import InputError, MatroidworksError, SearchBudgetExceeded
 from .matroid import Matroid, mask_elements
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -256,5 +256,8 @@ def automorphism_group(
             if len(have) == target:
                 break
     group = PermutationGroup(m.n, [Permutation(g) for g in generators])
-    assert group.order == target
+    if group.order != target:
+        raise MatroidworksError(
+            f"generators span {group.order} permutations, expected {target}"
+        )
     return group

@@ -59,6 +59,19 @@ def test_info_from_file(capsys, tmp_path):
     assert d["n"] == 7 and d["num_bases"] == 28
 
 
+def test_info_file_rank_is_optional_but_checked(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    shape = {"n": 4, "bases": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]]}
+    path.write_text(json.dumps(shape))
+    rc, d, _ = run_json(capsys, ["info", "--file", str(path)])
+    assert rc == 0
+    assert d["rank"] == 2 and d["num_bases"] == 5
+    path.write_text(json.dumps(dict(shape, rank=3)))
+    rc, _, err = run(capsys, ["info", "--file", str(path)])
+    assert rc == 2
+    assert "rank" in err
+
+
 def test_source_required_and_exclusive(capsys):
     rc, _, err = run(capsys, ["info"])
     assert rc == 2

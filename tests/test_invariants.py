@@ -2,7 +2,9 @@
 
 The corank-nullity subset sum is the defining formula, so the oracle here
 recomputes it from scratch with its own rank calls and the module answers
-must match term by term.  Graph coloring counts are checked against brute
+must match term by term.  The fast paths (the dynamic-programming rank
+table, the pruned Ingleton search) are compared against the brute-force
+versions kept below.  Graph coloring counts are checked against brute
 force enumeration of all colorings on small vertex sets.
 """
 
@@ -25,6 +27,7 @@ from matroidworks.errors import InputError, LoopPresent, SearchBudgetExceeded
 from matroidworks.invariants import (
     BiPoly,
     UniPoly,
+    _rank_table,
     characteristic_polynomial,
     chromatic_polynomial,
     ingleton_violation,
@@ -32,7 +35,47 @@ from matroidworks.invariants import (
     reduced_characteristic_polynomial,
     tutte_polynomial,
 )
-from matroidworks.matroid import matroid_from_bases, matroid_from_graph
+from matroidworks.matroid import mask_elements, matroid_from_bases, matroid_from_graph
+
+
+def named_catalog():
+    return [catalog(name) for name in catalog_names() if "(" not in name]
+
+
+def small_uniforms(max_n):
+    return [uniform(r, n) for n in range(1, max_n + 1) for r in range(n + 1)]
+
+
+def relabeled(m, rng):
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return matroid_from_bases(
+        m.n, [[perm[e - 1] + 1 for e in mask_elements(b)] for b in m.bases]
+    )
+
+
+def subset_ranks_by_basis_scan(m):
+    """rank(S) for every subset mask, as the best overlap with a basis."""
+    return [max((s & b).bit_count() for b in m.bases) for s in range(1 << m.n)]
+
+
+def ingleton_unpruned(m, exhaustive=False):
+    """First violating quadruple in the plain four-deep loop over the pool."""
+    rk = subset_ranks_by_basis_scan(m)
+    if exhaustive:
+        pool = list(range(1, 1 << m.n))
+    else:
+        pool = [1 << i for i in range(m.n)]
+        pool += [(1 << i) | (1 << j) for i in range(m.n) for j in range(i + 1, m.n)]
+        pool.sort(key=mask_elements)
+    for a, b, c, d in itertools.product(pool, repeat=4):
+        if not exhaustive and (a & b or (a | b) & c or (a | b | c) & d):
+            continue
+        lhs = rk[a] + rk[b] + rk[a | b | c] + rk[a | b | d] + rk[c | d]
+        rhs = rk[a | b] + rk[a | c] + rk[a | d] + rk[b | c] + rk[b | d]
+        if lhs > rhs:
+            return tuple(mask_elements(x) for x in (a, b, c, d))
+    return None
 
 
 def _dict_mul(a, b):
@@ -74,8 +117,24 @@ def test_tutte_k4_golden():
 
 
 def test_tutte_matches_subset_sum_oracle():
-    for m in (graphic_k4(), fano(), non_fano(), uniform(2, 4), uniform(3, 6)):
+    loopy = matroid_from_bases(5, [[1, 2], [1, 3], [2, 3]])
+    for m in named_catalog() + [uniform(3, 6), uniform(4, 8), loopy]:
         assert tutte_polynomial(m) == tutte_oracle(m)
+
+
+def test_rank_table_matches_basis_scan():
+    loopy = matroid_from_bases(5, [[1, 2], [1, 3], [2, 3]])
+    for m in named_catalog() + small_uniforms(8) + [loopy]:
+        assert list(_rank_table(m)) == subset_ranks_by_basis_scan(m)
+
+
+def test_characteristic_matches_signed_subset_sum():
+    # chi(q) = sum over subsets S of (-1)^|S| q^(r - r(S))
+    for m in named_catalog() + small_uniforms(10):
+        direct = [0] * (m.rank + 1)
+        for s, rs in enumerate(subset_ranks_by_basis_scan(m)):
+            direct[m.rank - rs] += -1 if s.bit_count() % 2 else 1
+        assert characteristic_polynomial(m) == UniPoly(direct)
 
 
 def test_tutte_deletion_contraction_identity():
@@ -220,6 +279,25 @@ def test_ingleton_realizable_matroids_pass():
 def test_ingleton_budget():
     with pytest.raises(SearchBudgetExceeded):
         ingleton_violation(vamos(), exhaustive=True, search_budget=50)
+
+
+def test_ingleton_pruned_search_matches_unpruned_loop():
+    rng = random.Random(5)
+    cases = named_catalog()
+    for m in (vamos(), pappus()):
+        cases += [relabeled(m, rng) for _ in range(5)]
+    for m in cases:
+        assert ingleton_violation(m) == ingleton_unpruned(m)
+    for m in (uniform(1, 3), uniform(2, 3), uniform(2, 4)):
+        assert ingleton_violation(m, exhaustive=True) == ingleton_unpruned(
+            m, exhaustive=True
+        )
+
+
+def test_ingleton_budget_counts_only_unpruned_quadruples():
+    # sets of size <= 2 are all independent in U(4,8), so every pair (A, B)
+    # has I(A;B) = 0 and no quadruple reaches the full check
+    assert ingleton_violation(uniform(4, 8), search_budget=0) is None
 
 
 def test_unipoly_arithmetic():

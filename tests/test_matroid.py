@@ -336,8 +336,10 @@ def test_json_round_trip_and_rejections():
             continue
         d = matroid_to_json_dict(m)
         assert matroid_from_json_dict(d) == m
+    # "rank" is optional, but checked against the bases when present
+    assert matroid_from_json_dict({"n": 3, "bases": [[1]]}) == matroid_from_bases(3, [[1]])
     with pytest.raises(InputError):
-        matroid_from_json_dict({"n": 3, "bases": [[1]]})
+        matroid_from_json_dict({"n": 3, "rank": 1})
     with pytest.raises(InputError):
         matroid_from_json_dict({"n": 3, "rank": 1, "bases": [[1], [1]]})
     with pytest.raises(InputError):
@@ -348,11 +350,65 @@ def test_json_round_trip_and_rejections():
         matroid_from_json_dict({"n": 0, "rank": 0, "bases": [[]]})
 
 
+def pairwise_exchange_witness(masks):
+    """First (A, B, x) in family order with no y in B - A making A - x + y a
+    basis, found by the direct pairwise scan; None when the axiom holds."""
+    basis_set = set(masks)
+    for a in masks:
+        for b in masks:
+            for x in mask_elements(a & ~b):
+                xbit = 1 << (x - 1)
+                if not any(
+                    (a & ~xbit) | (1 << (y - 1)) in basis_set
+                    for y in mask_elements(b & ~a)
+                ):
+                    return mask_elements(a), mask_elements(b), x
+    return None
+
+
+def test_exchange_validation_matches_pairwise_scan():
+    rng = random.Random(11)
+    families = []
+    for m in battery() + [pappus(), uniform(3, 7)]:
+        if m.n == 0 or m.rank == 0:
+            continue
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        valid = [
+            sum(1 << perm[e - 1] for e in mask_elements(b)) for b in m.bases
+        ]
+        families.append((m.n, valid))
+        # one basis fewer or one extra k-set: mostly invalid, sometimes not
+        families.append((m.n, valid[:-1] or valid))
+        extra = sum(1 << e for e in rng.sample(range(m.n), m.rank))
+        families.append((m.n, valid + [extra]))
+    for _ in range(300):
+        # k = 1 and k = n - 1 families always satisfy the axiom
+        n = rng.randint(4, 7)
+        k = rng.randint(2, n - 2)
+        ksets = [sum(1 << e for e in c) for c in itertools.combinations(range(n), k)]
+        families.append((n, rng.sample(ksets, rng.randint(1, len(ksets)))))
+    outcomes = set()
+    for n, masks in families:
+        fam = SubsetFamily(n, masks)
+        expect = pairwise_exchange_witness(fam.masks)
+        if expect is None:
+            assert matroid_from_bases(n, masks).bases == fam.masks
+        else:
+            with pytest.raises(ExchangeAxiomViolation) as err:
+                matroid_from_bases(n, masks)
+            assert err.value.witness == expect
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
+
+
 def test_subset_family_canonical_order():
     fam = SubsetFamily(3, [[3], [1, 2], [1], [1, 2, 3]])
     assert fam.as_lists() == [[1], [1, 2], [1, 2, 3], [3]]
     assert mask_of([2], 3) not in fam
     assert mask_of([3], 3) in fam
+    for s in range(1 << 3):
+        assert (s in fam) == (s in fam.masks)
 
 
 def test_catalog_shapes():
