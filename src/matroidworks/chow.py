@@ -106,6 +106,7 @@ class ChowRing:
         self._data: dict[int, _DegreeData] = {}
         self._ideal_polys: Optional[tuple] = None
         self._top_std_volume: Optional[Fraction] = None
+        self._flat_tables: dict[tuple[int, int], tuple] = {}
 
     # -- graded engine ----------------------------------------------------
 
@@ -279,26 +280,46 @@ class ChowRing:
         flat_vec = tuple(by_idx.get(i, _ZERO) for i in range(len(self.flats)))
         return ChowElement(self, 1, tuple(out), flat_vec)
 
-    def multiply_by_flat(self, degree, coords, flat_idx):
+    def _flat_table(self, degree: int, flat_idx: int) -> tuple:
+        """x_F times each standard monomial of A^degree, reduced in A^{degree+1}.
+
+        Entry i is the product with the i-th standard monomial as a sparse
+        vector; built once per (degree, flat) and cached on the ring.
+        """
+        key = (degree, flat_idx)
+        table = self._flat_tables.get(key)
+        if table is not None:
+            return table
         data = self._degree(degree)
         nxt = self._degree(degree + 1)
-        out = [_ZERO] * len(nxt.std_positions)
         comp = self._comp[flat_idx]
-        for i, c in enumerate(coords):
-            if not c:
-                continue
-            pos = data.std_positions[i]
+        rows = []
+        for pos in data.std_positions:
             if data.supp[pos] & ~comp:
+                rows.append(())
                 continue
-            m2 = _insert_flat(data.monomials[pos], flat_idx)
-            p2 = nxt.index[m2]
+            p2 = nxt.index[_insert_flat(data.monomials[pos], flat_idx)]
             red = nxt.nf.get(p2)
-            if red is None:
-                out[nxt.std_index[p2]] += c
-            else:
-                for s, v in red:
-                    out[s] += c * v
-        return tuple(out)
+            rows.append(((nxt.std_index[p2], _ONE),) if red is None else red)
+        table = self._flat_tables[key] = tuple(rows)
+        return table
+
+    def multiply_by_flat(self, degree: int, vec: tuple, flat_idx: int) -> tuple:
+        """x_F * vec for vec in A^degree.
+
+        Elements here are sparse vectors: tuples of (standard-monomial
+        index, coefficient) pairs with nonzero coefficients.
+        """
+        table = self._flat_table(degree, flat_idx)
+        return _combine((c, table[i]) for i, c in vec)
+
+    def _multiply_by_monomial(self, degree: int, vec: tuple, mono: tuple) -> tuple:
+        """vec in A^degree times the chain monomial ((flat, exponent), ...)."""
+        for f, e in mono:
+            for _ in range(e):
+                vec = self.multiply_by_flat(degree, vec, f)
+                degree += 1
+        return vec
 
     # -- presentation-level data ------------------------------------------
 
@@ -368,19 +389,26 @@ class ChowRing:
             raise MatroidworksError(
                 f"internal: top graded piece has dimension {dim}"
             )
-        coords = (_ONE,)
-        deg = 0
-        for idx in self.canonical_flag():
-            coords = self.multiply_by_flat(deg, coords, idx)
-            deg += 1
-        c = coords[0]
-        if not c:
+        vec = self._multiply_by_monomial(
+            0, ((0, _ONE),), tuple((idx, 1) for idx in self.canonical_flag())
+        )
+        if not vec:
             raise MatroidworksError("internal: canonical flag monomial vanished")
-        self._top_std_volume = _ONE / c
+        self._top_std_volume = _ONE / vec[0][1]
         return self._top_std_volume
 
 
 _BUILD_TOKEN = object()
+
+
+def _combine(terms) -> tuple:
+    """Sum of c * vec over (c, vec) in terms, for sparse vectors: tuples of
+    (index, coefficient) pairs.  The result keeps no zero coefficients."""
+    acc: dict[int, Fraction] = {}
+    for c, vec in terms:
+        for s, v in vec:
+            acc[s] = acc.get(s, _ZERO) + c * v
+    return tuple((s, v) for s, v in acc.items() if v)
 
 
 def chow_ring(m: Matroid) -> ChowRing:
@@ -456,19 +484,19 @@ class ChowElement:
         data = ring._degree(other.degree)
         target = self.degree + other.degree
         acc = [_ZERO] * ring.graded_dimension(target)
-        for i, c in enumerate(other.coords):
-            if not c:
-                continue
-            mono = data.monomials[data.std_positions[i]]
-            cur = self.coords
-            deg = self.degree
-            for f, e in mono:
-                for _ in range(e):
-                    cur = ring.multiply_by_flat(deg, cur, f)
-                    deg += 1
-            for s, v in enumerate(cur):
-                if v:
-                    acc[s] += c * v
+        mine = tuple((i, c) for i, c in enumerate(self.coords) if c)
+        prod = _combine(
+            (
+                c,
+                ring._multiply_by_monomial(
+                    self.degree, mine, data.monomials[data.std_positions[i]]
+                ),
+            )
+            for i, c in enumerate(other.coords)
+            if c
+        )
+        for s, v in prod:
+            acc[s] = v
         return ChowElement(ring, target, acc)
 
     def __pow__(self, k: int) -> "ChowElement":
@@ -561,23 +589,18 @@ class PairingReport:
         }
 
 
-def _as_elements(ring: ChowRing, degree: int):
-    dim = ring.graded_dimension(degree)
-    out = []
-    for s in range(dim):
-        coords = [_ZERO] * dim
-        coords[s] = _ONE
-        out.append(ChowElement(ring, degree, coords))
-    return out
-
-
 def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     """Poincare pairing, Lefschetz form, and the Hodge-Riemann check.
 
     Mat1 pairs A^k with A^{D-k}; Mat2 is the form vol(a * ell^{D-2k} * b)
     on A^k; the Hodge-Riemann form is (-1)^k Mat2 restricted to the kernel
     of multiplication by ell^{rk-2k} into A^{rk-k}, tested for positive
-    definiteness by exact leading principal minors.
+    definiteness by Sylvester's criterion.
+
+    Products run on sparse vectors through the ring's flat tables.
+    Multiplication by ell is one sparse matrix per degree, built once, so
+    Mat2 is (ell^{D-2k} basis) times Mat1 transposed, and the restriction
+    to the kernel sums only over the nonzeros of each kernel vector.
     """
     m = ring.matroid
     top = ring.top_degree
@@ -591,28 +614,42 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         raise MatroidworksError(
             "internal: graded dimensions break Poincare symmetry"
         )
-    basis_k = _as_elements(ring, k)
-    basis_co = _as_elements(ring, top - k)
     unit = ring._top_volume_unit() if dim_k else _ONE
 
-    def vol_coords(coords) -> Fraction:
-        return coords[0] * unit if coords else _ZERO
-
+    data_k = ring._degree(k)
     mat1_rows = []
-    for b in basis_k:
+    for pos in data_k.std_positions:
+        mono = data_k.monomials[pos]
         row = []
-        for b2 in basis_co:
-            row.append(vol_coords((b * b2).coords))
+        for j in range(dim_co):
+            v = ring._multiply_by_monomial(top - k, ((j, _ONE),), mono)
+            row.append(v[0][1] * unit if v else _ZERO)
         mat1_rows.append(row)
 
-    ell_hl = ell ** (top - 2 * k)
-    lifted = [b * ell_hl for b in basis_k]  # degree top - k
-    mat2_rows = []
-    for w in lifted:
-        row = []
-        for b2 in basis_k:
-            row.append(vol_coords((w * b2).coords))
-        mat2_rows.append(row)
+    data1 = ring._degree(1)
+    ell_terms = [
+        (data1.monomials[data1.std_positions[s]][0][0], c)
+        for s, c in enumerate(ell.coords)
+        if c
+    ]
+
+    def times_ell(degree: int, vecs: list) -> list:
+        tables = [(c, ring._flat_table(degree, f)) for f, c in ell_terms]
+        ell_map = [
+            _combine((c, t[i]) for c, t in tables)
+            for i in range(ring.graded_dimension(degree))
+        ]
+        return [_combine((c, ell_map[i]) for i, c in v) for v in vecs]
+
+    lifted = [((i, _ONE),) for i in range(dim_k)]
+    for d in range(k, top - k):
+        lifted = times_ell(d, lifted)  # ell^{D-2k} b_i, in A^{D-k}
+    # vol(w * b_j) = sum_t w_t vol(c_t * b_j), read off row j of Mat1
+    mat1_nonzero = [{t: v for t, v in enumerate(row) if v} for row in mat1_rows]
+    mat2_rows = [
+        [sum(c * nz[t] for t, c in w if t in nz) for nz in mat1_nonzero]
+        for w in lifted
+    ]
 
     mat1 = ExactMatrix.from_rows(_Q, mat1_rows) if dim_k else ExactMatrix(_Q, ())
     mat2 = ExactMatrix.from_rows(_Q, mat2_rows) if dim_k else ExactMatrix(_Q, ())
@@ -620,18 +657,20 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     lefschetz_iso = dim_k == 0 or mat2.rank() == dim_k
 
     # primitive part: kernel of ell^{rk - 2k} out of A^k
-    ell_pr = ell ** (m.rank - 2 * k)
     target_dim = ring.graded_dimension(m.rank - k)
     kernel_vectors: list[tuple]
     if dim_k == 0:
         kernel_vectors = []
     elif target_dim == 0:
-        kernel_vectors = [tuple(b.coords) for b in _as_elements(ring, k)]
-    else:
-        cols = [(b * ell_pr).coords for b in basis_k]
-        map_rows = [
-            [cols[t][s] for t in range(dim_k)] for s in range(target_dim)
+        kernel_vectors = [
+            tuple(_ONE if j == i else _ZERO for j in range(dim_k))
+            for i in range(dim_k)
         ]
+    else:
+        map_rows = [[_ZERO] * dim_k for _ in range(target_dim)]
+        for t, col in enumerate(times_ell(top - k, lifted)):
+            for s, v in col:
+                map_rows[s][t] = v
         kernel_vectors = [
             tuple(v) for v in ExactMatrix.from_rows(_Q, map_rows).kernel_basis()
         ]
@@ -641,21 +680,17 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
 
     sign = -1 if k % 2 else 1
     kd = len(kernel_vectors)
-    # sign * K^T Mat2 K in two passes
-    mk = [
-        [
-            sum(mat2_rows[a][b] * kernel_vectors[t][b] for b in range(dim_k))
-            for t in range(kd)
-        ]
-        for a in range(dim_k)
+    kernel_nonzero = [
+        tuple((a, v) for a, v in enumerate(vec) if v) for vec in kernel_vectors
+    ]
+    # sign * K^T Mat2 K over the nonzeros of each kernel vector
+    mat2_k = [
+        [sum(v * row[b] for b, v in kv) for row in mat2_rows]
+        for kv in kernel_nonzero
     ]
     restricted_rows = [
-        [
-            sign
-            * sum(kernel_vectors[s][a] * mk[a][t] for a in range(dim_k))
-            for t in range(kd)
-        ]
-        for s in range(kd)
+        [sign * sum(u * mk[a] for a, u in kv) for mk in mat2_k]
+        for kv in kernel_nonzero
     ]
     restricted = (
         ExactMatrix.from_rows(_Q, restricted_rows) if kd else ExactMatrix(_Q, ())

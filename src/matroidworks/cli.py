@@ -78,12 +78,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="N",
         help="cap on finite-field point enumeration",
     )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for test sampling; results never depend on it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

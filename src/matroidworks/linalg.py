@@ -1,14 +1,17 @@
 """Exact linear algebra over the coefficient fields, plus symbolic minors.
 
 ExactMatrix does Gaussian elimination with exact field arithmetic (no
-floating point anywhere). MinorOracle computes determinants of matrices of
-polynomials by cofactor expansion, memoized on (rows, columns) so the many
-overlapping minors of one parameterized matrix share work.
+floating point anywhere).  Over Q, rank and positive definiteness clear
+each row's denominators and use fraction-free (Bareiss) elimination over
+the integers; reduced row echelon forms and kernels stay in the field.
+MinorOracle computes determinants of matrices of polynomials by cofactor
+expansion, memoized on (rows, columns) so the many overlapping minors of
+one parameterized matrix share work.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Optional, Sequence
 
 from .errors import InputError, NotSymmetric, RingMismatch
@@ -94,7 +97,26 @@ class ExactMatrix:
         return work, pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        """Over Q, fraction-free: each row is scaled to integers (which
+        keeps the rank) and Bareiss elimination counts the pivots."""
+        if not isinstance(self.field, RationalField):
+            return len(self._echelon()[1])
+        work = _integer_rows(self.rows)
+        rank = 0
+        prev = 1
+        for col in range(self.ncols):
+            sel = None
+            for i in range(rank, len(work)):
+                if work[i][col]:
+                    sel = i
+                    break
+            if sel is None:
+                continue
+            work[rank], work[sel] = work[sel], work[rank]
+            _bareiss_step(work, rank, col, prev)
+            prev = work[rank][col]
+            rank += 1
+        return rank
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         work, pivots = self._echelon()
@@ -171,19 +193,24 @@ class ExactMatrix:
         )
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion with exact rational minors."""
+        """Sylvester's criterion: every leading principal minor is positive.
+
+        Each row is scaled to integers by a positive factor, which keeps
+        the sign of every leading minor.  Bareiss elimination without
+        pivoting then leaves the k-th leading minor as the k-th pivot, so
+        one O(n^3) pass checks them all.
+        """
         if not isinstance(self.field, RationalField):
             raise InputError("positive definiteness is checked over Q")
         if not self.is_symmetric():
             raise NotSymmetric("matrix is not symmetric")
-        if self.nrows == 0:
-            return True
-        for k in range(1, self.nrows + 1):
-            sub = ExactMatrix(
-                self.field, tuple(tuple(r[:k]) for r in self.rows[:k])
-            )
-            if sub.det() <= 0:
+        work = _integer_rows(self.rows)
+        prev = 1
+        for k in range(self.nrows):
+            if work[k][k] <= 0:
                 return False
+            _bareiss_step(work, k, k, prev)
+            prev = work[k][k]
         return True
 
     def __eq__(self, other):
@@ -198,6 +225,25 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """Rational rows, each multiplied by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def _bareiss_step(work: list[list[int]], row: int, col: int, prev: int) -> None:
+    """Clear column col below work[row][col] in place; prev is the previous
+    pivot (1 at the first step), by which every division is exact."""
+    top = work[row]
+    p = top[col]
+    for i in range(row + 1, len(work)):
+        a = work[i][col]
+        work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
 
 
 class MinorOracle:
@@ -248,10 +294,3 @@ class MinorOracle:
         self._memo[key] = acc
         return acc
 
-
-def leading_principal_minors(m: ExactMatrix) -> list:
-    """The n leading principal minors (used by tests against the PD check)."""
-    return [
-        ExactMatrix(m.field, tuple(tuple(r[:k]) for r in m.rows[:k])).det()
-        for k in range(1, m.nrows + 1)
-    ]

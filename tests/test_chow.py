@@ -23,6 +23,7 @@ from matroidworks.catalog import (
     vamos,
 )
 from matroidworks.chow import (
+    ChowElement,
     alpha_element,
     beta_element,
     chow_ring,
@@ -132,6 +133,27 @@ def test_standard_monomials_match_buchberger():
                 p.leading_exp(DEGREVLEX) for p in ring.basis_monomials(d)
             }
             assert engine == std
+
+
+def test_flat_tables_match_buchberger_normal_forms():
+    # x_F times each standard monomial, reduced by the Groebner basis and
+    # written in the engine's standard monomials, is the table's product
+    for m in (uniform(3, 4), graphic_k4()):
+        ring = chow_ring(m)
+        gb = ring.groebner_basis()
+        for d in range(ring.top_degree + 1):
+            here = ring.basis_monomials(d)
+            there = {
+                p.leading_exp(DEGREVLEX): s
+                for s, p in enumerate(ring.basis_monomials(d + 1))
+            }
+            for f in range(len(ring.flats)):
+                x_f = ring.ring.var(f)
+                for i, mono in enumerate(here):
+                    nf = normal_form(x_f * mono, gb.elements, gb.order)
+                    expect = sorted((there[e], c) for e, c in nf.terms.items())
+                    got = sorted(ring.multiply_by_flat(d, ((i, Fraction(1)),), f))
+                    assert got == expect
 
 
 def test_k4_volumes_frozen():
@@ -302,6 +324,79 @@ def test_alpha_fails_hard_lefschetz_in_rank_four():
     rep0 = kahler_report(ring, 0, alpha_element(ring))
     assert rep0.hard_lefschetz_iso
     assert rep0.hodge_riemann_definite
+
+
+def dense_kahler(ring, k, ell):
+    """Mat1, Mat2, kernel, restricted form and the three verdicts, built
+    from dense ChowElement products, ell ** p and the dense K^T M K loop;
+    ranks by Gauss-Jordan pivots, definiteness by separate minors."""
+    top = ring.top_degree
+
+    def basis(d):
+        dim = ring.graded_dimension(d)
+        return [
+            ChowElement(ring, d, [Fraction(int(i == s)) for i in range(dim)])
+            for s in range(dim)
+        ]
+
+    basis_k, basis_co = basis(k), basis(top - k)
+    dim = len(basis_k)
+    mat1 = [[volume_map(b * c) for c in basis_co] for b in basis_k]
+    ell_hl = ell ** (top - 2 * k)
+    lifted = [b * ell_hl for b in basis_k]
+    mat2 = [[volume_map(w * c) for c in basis_k] for w in lifted]
+    ell_pr = ell ** (ring.matroid.rank - 2 * k)
+    target_dim = ring.graded_dimension(ring.matroid.rank - k)
+    if target_dim == 0:
+        kernel = [b.coords for b in basis_k]
+    else:
+        images = [(b * ell_pr).coords for b in basis_k]
+        map_rows = [[v[s] for v in images] for s in range(target_dim)]
+        kernel = ExactMatrix.from_rows(rationals(), map_rows).kernel_basis()
+    sign = -1 if k % 2 else 1
+    mk = [
+        [sum(mat2[a][b] * v[b] for b in range(dim)) for v in kernel]
+        for a in range(dim)
+    ]
+    restricted = [
+        [sign * sum(u[a] * mk[a][t] for a in range(dim)) for t in range(len(kernel))]
+        for u in kernel
+    ]
+
+    def full_rank(rows):
+        return len(ExactMatrix.from_rows(rationals(), rows)._echelon()[1]) == dim
+
+    def minors_positive(rows):
+        return all(
+            ExactMatrix.from_rows(rationals(), [r[:n] for r in rows[:n]]).det() > 0
+            for n in range(1, len(rows) + 1)
+        )
+
+    return (
+        mat1,
+        mat2,
+        [tuple(v) for v in kernel],
+        restricted,
+        (full_rank(mat1), full_rank(mat2), minors_positive(restricted)),
+    )
+
+
+def test_kahler_report_matches_dense_products():
+    for m in (graphic_k4(), fano(), non_fano(), pappus(), uniform(4, 5), uniform(4, 6)):
+        ring = chow_ring(m)
+        for ell in (alpha_element(ring), beta_element(ring), strict_ell(ring)):
+            for k in (0, 1):
+                rep = kahler_report(ring, k, ell)
+                mat1, mat2, kernel, restricted, verdicts = dense_kahler(ring, k, ell)
+                assert [list(r) for r in rep.mat1.rows] == mat1
+                assert [list(r) for r in rep.mat2.rows] == mat2
+                assert [e.coords for e in rep.kernel] == kernel
+                assert [list(r) for r in rep.restricted_form.rows] == restricted
+                assert (
+                    rep.poincare_nondegenerate,
+                    rep.hard_lefschetz_iso,
+                    rep.hodge_riemann_definite,
+                ) == verdicts
 
 
 def test_admissibility_guards():

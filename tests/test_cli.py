@@ -206,6 +206,14 @@ def test_chow_pairing_report(capsys):
     assert d["hodge_riemann_definite"] is True
 
 
+def test_no_seed_flag(capsys):
+    # results never depended on a seed, so the CLI takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--name", "k4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_chow_guards(capsys, tmp_path):
     rc, _, err = run(capsys, ["chow", "--name", "k4", "--k", "5"])
     assert rc == 4

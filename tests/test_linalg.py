@@ -8,7 +8,7 @@ import pytest
 
 from matroidworks.errors import InputError, NotSymmetric
 from matroidworks.fields import prime_field, rationals
-from matroidworks.linalg import ExactMatrix, MinorOracle, leading_principal_minors
+from matroidworks.linalg import ExactMatrix, MinorOracle
 from matroidworks.polynomials import PolynomialRing, poly_str
 
 Q = rationals()
@@ -29,6 +29,14 @@ def leibniz_det(rows):
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
+
+
+def leading_principal_minors(m: ExactMatrix) -> list:
+    """The n leading principal minors, each by its own determinant."""
+    return [
+        ExactMatrix(m.field, tuple(tuple(r[:k]) for r in m.rows[:k])).det()
+        for k in range(1, m.nrows + 1)
+    ]
 
 
 def random_matrix(rng, nr, nc, lo=-5, hi=5):
@@ -145,6 +153,127 @@ def test_positive_definite():
         if val <= 0:
             found_negative = True
     assert found_negative
+
+
+def random_rational(rng, lo=-4, hi=4, den=4):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def symmetric_cases(rng):
+    """Random symmetric rational matrices: Gram matrices of full and short
+    rank, shifted Gram matrices, and plain symmetric ones."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        kind = rng.choice(("gram", "gram_plus", "plain"))
+        if kind == "plain":
+            g = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = random_rational(rng)
+        else:
+            # A^T A is singular when A has fewer rows than columns
+            m = rng.randint(1, n + 1)
+            a = [[random_rational(rng) for _ in range(n)] for _ in range(m)]
+            g = [
+                [sum(a[k][i] * a[k][j] for k in range(m)) for j in range(n)]
+                for i in range(n)
+            ]
+            if kind == "gram_plus":
+                for i in range(n):
+                    g[i][i] += Fraction(rng.randint(1, 3), rng.randint(1, 5))
+        yield g
+    # a zero leading minor followed by positive ones: minors (0, 0, 1),
+    # (1, 0, 0, 1) and (1/2, 0, 0, 1/8)
+    yield [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+    yield [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]]
+    half = Fraction(1, 2)
+    yield [[half, 0, 0, 0], [0, 0, 0, half], [0, 0, -half, 0], [0, half, 0, 0]]
+    # positive semidefinite, singular only in the last minor
+    yield [[2, 1, 3], [1, 1, 1], [3, 1, 5]]
+
+
+def test_positive_definite_matches_leading_minors():
+    rng = random.Random(4242)
+    verdicts = {True: 0, False: 0}
+    zero_then_positive = 0
+    for rows in symmetric_cases(rng):
+        m = ExactMatrix.from_rows(Q, rows)
+        minors = leading_principal_minors(m)
+        expect = all(d > 0 for d in minors)
+        assert m.is_positive_definite() == expect, rows
+        verdicts[expect] += 1
+        first_zero = next((k for k, d in enumerate(minors) if d == 0), None)
+        if first_zero is not None and minors[-1] > 0:
+            zero_then_positive += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
+    assert zero_then_positive >= 3
+
+
+def rectangular_cases(rng):
+    """Random rational matrices with zero columns, repeated rows, low rank,
+    and the zero and identity extremes."""
+    yield []
+    for _ in range(80):
+        nr = rng.randint(1, 6)
+        nc = rng.randint(1, 6)
+        kind = rng.choice(("random", "low_rank", "zero_cols", "dup_rows"))
+        if kind == "low_rank":
+            r = rng.randint(0, min(nr, nc))
+            left = [[random_rational(rng) for _ in range(r)] for _ in range(nr)]
+            right = [[random_rational(rng) for _ in range(nc)] for _ in range(r)]
+            rows = [
+                [
+                    sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0))
+                    for j in range(nc)
+                ]
+                for i in range(nr)
+            ]
+        else:
+            rows = [[random_rational(rng) for _ in range(nc)] for _ in range(nr)]
+        if kind == "zero_cols":
+            for j in rng.sample(range(nc), rng.randint(1, nc)):
+                for row in rows:
+                    row[j] = Fraction(0)
+        if kind == "dup_rows" and nr > 1:
+            for i in range(1, nr):
+                if rng.random() < 0.5:
+                    c = random_rational(rng)
+                    rows[i] = [c * v for v in rows[rng.randrange(i)]]
+        yield rows
+    for n, m in ((3, 5), (5, 3), (4, 4)):
+        yield [[Fraction(0)] * m for _ in range(n)]
+        yield [
+            [Fraction(1 if i == j else 0, i + 1) for j in range(m)] for i in range(n)
+        ]
+
+
+def test_rank_matches_echelon_pivots():
+    rng = random.Random(777)
+    seen = set()
+    for rows in rectangular_cases(rng):
+        m = ExactMatrix.from_rows(Q, rows)
+        r = m.rank()
+        assert r == len(m._echelon()[1]), rows
+        full = min(m.nrows, m.ncols)
+        seen.add("zero" if r == 0 else "full" if r == full else "deficient")
+    assert seen == {"zero", "full", "deficient"}
+
+
+def test_rank_over_prime_field_uses_echelon(monkeypatch):
+    calls = []
+    echelon = ExactMatrix._echelon
+
+    def counted(self):
+        calls.append(self.field)
+        return echelon(self)
+
+    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+    f5 = prime_field(5)
+    # rows 2 and 3 are 2 and 3 times row 1 mod 5; over Q the det is -25
+    assert ExactMatrix.from_rows(f5, [[1, 2, 3], [2, 4, 1], [3, 1, 4]]).rank() == 1
+    assert calls == [f5]
+    assert ExactMatrix.from_rows(Q, [[1, 2, 3], [2, 4, 1], [3, 1, 4]]).rank() == 3
+    assert calls == [f5]
 
 
 def test_finite_field_matrices():
