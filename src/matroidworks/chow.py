@@ -657,7 +657,8 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     lefschetz_iso = dim_k == 0 or mat2.rank() == dim_k
 
     # primitive part: kernel of ell^{rk - 2k} out of A^k
-    target_dim = ring.graded_dimension(m.rank - k)
+    # A^{rk-k} is zero above the top degree (k = 0); skip eliminating it
+    target_dim = 0 if m.rank - k > top else ring.graded_dimension(m.rank - k)
     kernel_vectors: list[tuple]
     if dim_k == 0:
         kernel_vectors = []

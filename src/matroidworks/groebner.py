@@ -345,10 +345,12 @@ def saturate(
 
     Inequation generators are first reduced modulo a Groebner basis of I,
     made monic, deduplicated, and stripped of constants; if one reduces to
-    zero the saturation is the unit ideal outright.  The product trick (one
-    auxiliary variable) is used while the running product stays small;
-    otherwise the engine saturates by the factors one at a time, which
-    computes the identical ideal since I : (uv)^inf = (I : u^inf) : v^inf.
+    zero the saturation is the unit ideal outright, and the zero ideal is
+    its own saturation since the polynomial ring is a domain.  The product
+    trick (one auxiliary variable) is used while the running product stays
+    small; otherwise the engine saturates by the factors one at a time,
+    which computes the identical ideal since
+    I : (uv)^inf = (I : u^inf) : v^inf.
     """
     ring = ideal.ring
     order = DEGREVLEX
@@ -372,7 +374,8 @@ def saturate(
         if k not in seen:
             seen.add(k)
             factors.append(r)
-    if not factors:
+    if not factors or not gb.elements:
+        # nothing left to invert, or I = 0 in a domain where 0 : u^inf = 0
         return Ideal(ring, gb.elements)
 
     product: Optional[Poly] = ring.one()

@@ -10,7 +10,11 @@ emptiness by saturating the ideal at the inequations.
 Emptiness is decided over the algebraic closure of the prime field: the
 space is empty for characteristic c exactly when 1 lies in the saturation.
 Realizability over a specific finite field F_q is a separate, exhaustive
-search over the simplified presentation's surviving variables.
+search over the simplified presentation's surviving variables.  The search
+is a pruned depth-first walk in a fixed variable order and element order:
+each equation and inequation is tested as soon as its variables are all
+assigned, so it visits the admissible points, and finds the first witness,
+exactly as full enumeration of every assignment would.
 """
 
 from __future__ import annotations
@@ -452,18 +456,17 @@ def _free_indices(space: RealizationSpace) -> list[int]:
     return [i for i in range(len(space.ring.names)) if i not in gone]
 
 
-def _point_satisfies(space, values, fq) -> bool:
-    for g in space.ideal_generators:
-        if not fq.is_zero(g.evaluate(values, fq)):
-            return False
-    for u in space.inequations:
-        if fq.is_zero(u.evaluate(values, fq)):
-            return False
-    return True
-
-
 def _search_points(space: RealizationSpace, q: int, search_budget: int):
-    """Yields value dicts for the surviving variables, admissible over F_q."""
+    """Yields value dicts for the surviving variables, admissible over F_q.
+
+    A depth-first walk over the surviving variables in ring order, the
+    first outermost, each running through ``iter_elements``.  Every
+    generator and inequation is checked at the depth where its last
+    variable is assigned, and constant ones once before the walk, so a
+    prefix that already fails is never extended.  Admissibility is the
+    conjunction of those checks: the points and their order are exactly
+    those of the full enumeration of all q^k assignments.
+    """
     fq = field_of_order(q)
     free = _free_indices(space)
     total = q ** len(free)
@@ -471,11 +474,43 @@ def _search_points(space: RealizationSpace, q: int, search_budget: int):
         raise SearchBudgetExceeded(
             f"{total} assignments over F_{q} exceed the budget of {search_budget}"
         )
+    depth_of = {v: d for d, v in enumerate(free)}
+    checks: list[list] = [[] for _ in free]  # (poly, must vanish) per depth
+    for polys, vanish in (
+        (space.ideal_generators, True),
+        (space.inequations, False),
+    ):
+        for p in polys:
+            used = p.variables()
+            if used:
+                checks[max(depth_of[v] for v in used)].append((p, vanish))
+            elif fq.is_zero(p.evaluate({}, fq)) != vanish:
+                return
     elems = list(fq.iter_elements())
-    for combo in itertools.product(elems, repeat=len(free)):
-        values = dict(zip(free, combo))
-        if _point_satisfies(space, values, fq):
-            yield fq, values
+    values: dict = {}
+
+    def walk(d: int):
+        if d == len(free):
+            yield fq, dict(values)
+            return
+        var, here = free[d], checks[d]
+        for a in elems:
+            values[var] = a
+            if all(
+                fq.is_zero(p.evaluate(values, fq)) == vanish for p, vanish in here
+            ):
+                yield from walk(d + 1)
+
+    yield from walk(0)
+
+
+def _realizable_in(space: RealizationSpace, q: int, search_budget: int) -> bool:
+    """Whether the space has a point over F_q; Empty short-circuits to False."""
+    if space.verdict is SpaceVerdict.EMPTY:
+        return False
+    for _ in _search_points(space, q, search_budget):
+        return True
+    return False
 
 
 def is_realizable_over_q(
@@ -491,12 +526,9 @@ def is_realizable_over_q(
     since F_q embeds in the algebraic closure.
     """
     p, _ = factor_prime_power(q)
-    space = realization_space(m, p, True, None, config)
-    if space.verdict is SpaceVerdict.EMPTY:
-        return False
-    for _ in _search_points(space, q, search_budget):
-        return True
-    return False
+    return _realizable_in(
+        realization_space(m, p, True, None, config), q, search_budget
+    )
 
 
 def find_realization(
@@ -547,12 +579,19 @@ def realizability_table(
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> dict[int, bool]:
-    """is_realizable_over_q for every prime power q <= q_max, ascending."""
+    """is_realizable_over_q for every prime power q <= q_max, ascending.
+
+    Each characteristic's space is built once, at its smallest q, and
+    searched for every power of that prime.
+    """
     out: dict[int, bool] = {}
+    spaces: dict[int, RealizationSpace] = {}
     for q in range(2, q_max + 1):
         try:
-            factor_prime_power(q)
+            p, _ = factor_prime_power(q)
         except InputError:
             continue
-        out[q] = is_realizable_over_q(m, q, search_budget, config)
+        if p not in spaces:
+            spaces[p] = realization_space(m, p, True, None, config)
+        out[q] = _realizable_in(spaces[p], q, search_budget)
     return out

@@ -399,6 +399,15 @@ def test_kahler_report_matches_dense_products():
                 ) == verdicts
 
 
+def test_kahler_report_degree_zero_skips_degree_rank():
+    # A^r is zero above the top degree r - 1, so k = 0 needs no elimination there
+    for m in (graphic_k4(), pappus(), uniform(4, 6)):
+        ring = chow_ring(m)
+        rep = kahler_report(ring, 0, alpha_element(ring))
+        assert m.rank not in ring._data
+        assert [e.coords for e in rep.kernel] == [(Fraction(1),)]
+
+
 def test_admissibility_guards():
     ring = chow_ring(graphic_k4())
     a = alpha_element(ring)

@@ -19,6 +19,7 @@ from matroidworks.groebner import (
     GBConfig,
     Ideal,
     Substitution,
+    _saturate_by_one,
     buchberger,
     contains_one,
     eliminate_linear_variables,
@@ -279,6 +280,42 @@ def test_saturation_chained_matches_product():
     small = saturate(ideal, [x, z])
     big = saturate(ideal, [x**20, z**30])
     assert buchberger(small).elements == buchberger(big).elements
+
+
+def rabinowitsch(ring, gens, u):
+    """Reduced basis of (gens) : u^inf through the auxiliary variable."""
+    out = _saturate_by_one(gens, u, DEFAULT_GB_CONFIG)
+    return buchberger(Ideal(ring, out)).elements if out else ()
+
+
+def test_saturation_of_zero_ideal_matches_rabinowitsch():
+    for field, seed in ((Q, 7), (prime_field(3), 8)):
+        ring = PolynomialRing(field, ("x", "y", "z"))
+        rng = random.Random(seed)
+        for _ in range(15):
+            ineqs = []
+            count = rng.randint(1, 4)
+            while len(ineqs) < count:
+                terms = {
+                    tuple(rng.randint(0, 2) for _ in range(3)): field.coerce(
+                        rng.choice([-2, -1, 1, 2, 3])
+                    )
+                    for _ in range(rng.randint(1, 3))
+                }
+                u = ring.from_terms(terms)
+                if not u.is_zero():
+                    ineqs.append(u)
+            product = ring.one()
+            for u in ineqs:
+                product = product * u
+            chained: list = []
+            for u in ineqs:
+                chained = list(rabinowitsch(ring, chained, u))
+            sat = saturate(Ideal(ring, ()), ineqs)
+            assert sat.gens == rabinowitsch(ring, [], product) == tuple(chained) == ()
+        # a zero inequation lies in every ideal: the saturation is everything
+        sat = saturate(Ideal(ring, ()), [ring.var(0), ring.zero()])
+        assert sat.gens == (ring.one(),)
 
 
 # -- linear elimination -----------------------------------------------------

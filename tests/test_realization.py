@@ -7,6 +7,8 @@ field contains a primitive sixth root of unity, Pappus everywhere, Vamos
 nowhere.
 """
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from matroidworks.catalog import (
     vamos,
 )
 from matroidworks.errors import LoopPresent, SearchBudgetExceeded
+from matroidworks.fields import factor_prime_power, field_of_order
 from matroidworks.matroid import (
     Matroid,
     mask_elements,
@@ -28,9 +31,13 @@ from matroidworks.matroid import (
     matroid_from_matrix,
 )
 from matroidworks.polynomials import poly_str
+from matroidworks import realization
 from matroidworks.realization import (
+    DEFAULT_SEARCH_BUDGET,
     UNDECIDED,
     SpaceVerdict,
+    _free_indices,
+    _search_points,
     choose_basis,
     find_realization,
     is_realizable,
@@ -189,3 +196,121 @@ def test_json_dict_shape():
     assert all(len(row) == space.matroid.n for row in d["matrix"])
     for sub in d["substitutions"]:
         assert set(sub) == {"variable", "numerator", "denominator"}
+
+
+# -- point search against full enumeration ----------------------------------
+
+_DESARGUES_LINES = [
+    (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 8), (2, 6, 9),
+    (4, 6, 10), (3, 5, 8), (3, 7, 9), (5, 7, 10), (8, 9, 10),
+]
+
+
+def desargues():
+    lines = {frozenset(line) for line in _DESARGUES_LINES}
+    triples = itertools.combinations(range(1, 11), 3)
+    return matroid_from_bases(10, [b for b in triples if frozenset(b) not in lines])
+
+
+def brute_force_points(space, q):
+    """Every assignment in itertools.product order, first variable
+    outermost, kept when every generator vanishes and no inequation does."""
+    fq = field_of_order(q)
+    free = _free_indices(space)
+    points = []
+    for combo in itertools.product(list(fq.iter_elements()), repeat=len(free)):
+        values = dict(zip(free, combo))
+        if all(
+            fq.is_zero(g.evaluate(values, fq)) for g in space.ideal_generators
+        ) and not any(fq.is_zero(u.evaluate(values, fq)) for u in space.inequations):
+            points.append(values)
+    return points
+
+
+def matrix_at(space, values, fq):
+    """The realization matrix at a point: substitutions undone, then evaluated."""
+    values = dict(values)
+    for sub in reversed(space.substitutions):
+        values[sub.var] = fq.div(
+            sub.numerator.evaluate(values, fq), sub.denominator.evaluate(values, fq)
+        )
+    return [[entry.evaluate(values, fq) for entry in row] for row in space.matrix]
+
+
+def searched(space, q):
+    return [
+        tuple(values.items())
+        for _, values in _search_points(space, q, DEFAULT_SEARCH_BUDGET)
+    ]
+
+
+SEARCH_ORACLE_MATROIDS = {
+    "fano": fano,
+    "non_fano": non_fano,
+    "pappus": pappus,
+    "moebius_kantor": moebius_kantor,
+    "desargues": desargues,
+    "uniform(3,6)": lambda: uniform(3, 6),
+    "uniform(3,7)": lambda: uniform(3, 7),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_ORACLE_MATROIDS)
+def test_search_points_match_full_enumeration(name):
+    m = SEARCH_ORACLE_MATROIDS[name]()
+    spaces = {}
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8):
+        p, _ = factor_prime_power(q)
+        if p not in spaces:
+            spaces[p] = realization_space(m, p)
+        space = spaces[p]
+        if q ** space.num_free_variables > 50_000:
+            continue
+        checked += 1
+        expected = brute_force_points(space, q)
+        assert searched(space, q) == [tuple(v.items()) for v in expected]
+        real = find_realization(m, q)
+        # an Empty space may keep a presentation with points: its dead
+        # inequation is dropped, and the verdict alone answers None
+        if expected and space.verdict is not SpaceVerdict.EMPTY:
+            assert real.rows() == matrix_at(space, expected[0], real.field)
+        else:
+            assert real is None
+    assert checked >= 4
+
+
+def test_search_checks_constant_constraints():
+    space = realization_space(pappus(), 2)
+    ring = space.ring
+    assert searched(space, 4)
+    for change in (
+        {"inequations": space.inequations + (ring.zero(),)},
+        {"ideal_generators": space.ideal_generators + (ring.one(),)},
+        {"inequations": space.inequations + (ring.one(),)},
+        {"ideal_generators": space.ideal_generators + (ring.zero(),)},
+    ):
+        altered = dataclasses.replace(space, **change)
+        assert searched(altered, 4) == [
+            tuple(v.items()) for v in brute_force_points(altered, 4)
+        ]
+
+
+def test_table_builds_one_space_per_characteristic(monkeypatch):
+    built = []
+    original = realization.realization_space
+
+    def counting(m, characteristic, *args, **kwargs):
+        built.append(characteristic)
+        return original(m, characteristic, *args, **kwargs)
+
+    monkeypatch.setattr(realization, "realization_space", counting)
+    for m in (
+        fano(), non_fano(), vamos(), moebius_kantor(), pappus(), graphic_k4(),
+        uniform(3, 6),
+    ):
+        built.clear()
+        table = realizability_table(m, 13)
+        assert built == [2, 3, 5, 7, 11, 13]
+        assert table == {q: is_realizable_over_q(m, q) for q in table}
+        assert list(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
