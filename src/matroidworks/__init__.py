@@ -59,7 +59,6 @@ from .groebner import (
     Ideal,
     Substitution,
     buchberger,
-    contains_one,
     eliminate_linear_variables,
     normal_form,
     s_polynomial,

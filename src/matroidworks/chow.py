@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 from .errors import (
     InputError,
@@ -32,7 +32,7 @@ from .errors import (
 from .fields import rationals
 from .groebner import DEFAULT_GB_CONFIG, GBConfig, GroebnerBasis, Ideal, buchberger
 from .linalg import ExactMatrix
-from .matroid import Matroid, mask_elements, mask_of, subset_key
+from .matroid import Matroid, mask_elements, mask_of
 from .polynomials import DEGREVLEX, Poly, PolynomialRing
 
 _Q = rationals()
@@ -84,7 +84,7 @@ class ChowRing:
             for f in m.flats()
             if f != ground and f != closure0 and f != 0
         ]
-        flats.sort(key=lambda f: (m.rank_of(f), subset_key(f)))
+        flats.sort(key=lambda f: (m.rank_of(f), mask_elements(f)))
         self.flats = tuple(flats)
         self.flat_index = {f: i for i, f in enumerate(flats)}
         self.ring = PolynomialRing(

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .catalog import catalog, catalog_names
+from .catalog import catalog
 from .chow import (
     alpha_element,
     beta_element,
@@ -45,7 +45,6 @@ from .matroid import (
 )
 from .realization import (
     DEFAULT_SEARCH_BUDGET,
-    UNDECIDED,
     SpaceVerdict,
     realization_space,
     realizability_table,

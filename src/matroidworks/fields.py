@@ -206,7 +206,6 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
-        self.t = ((0, 1) + (0,) * (k - 2)) if k >= 2 else self.one
 
     def coerce(self, value):
         if isinstance(value, tuple):
@@ -274,10 +273,6 @@ class ExtensionField(Field):
     @property
     def order(self) -> int:
         return self.p**self.k
-
-    def embed(self, prime_elt: int) -> tuple:
-        """Image of an F_p element under the canonical embedding."""
-        return (prime_elt % self.p,) + (0,) * (self.k - 1)
 
     def __eq__(self, other):
         return (

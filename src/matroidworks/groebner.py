@@ -1,4 +1,5 @@
-"""Buchberger's algorithm, saturation, and linear-variable elimination.
+"""Buchberger's algorithm, inequation reduction, saturation, and
+linear-variable elimination.
 
 The engine is deterministic end to end: generators are sorted on entry,
 S-pairs are processed in normal strategy (smallest lcm first, index
@@ -6,13 +7,20 @@ tie-break), and the two classical Buchberger criteria (coprime leading
 monomials and the chain criterion) prune pairs.  Budgets are explicit; when
 one trips, DegreeBudgetExceeded carries the partial state's description
 rather than returning a wrong basis.
+
+Inequations (the elements inverted in a localization) are simplified in one
+place, reduce_inequations: normal form, monic, no scalars, sorted without
+repeats, and factors that are other inequations divided out.  saturate uses
+it on its inputs, and eliminate_linear_variables asks the same division
+primitive whether a coefficient is a unit.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Optional, Sequence
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegreeBudgetExceeded, InputError, RingMismatch
 from .polynomials import (
@@ -29,7 +37,6 @@ from .polynomials import (
 @dataclass(frozen=True)
 class GBConfig:
     max_pair_reductions: int = 1_000_000
-    max_degree: Optional[int] = None
 
 
 DEFAULT_GB_CONFIG = GBConfig()
@@ -57,19 +64,12 @@ class Ideal:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, ascending by leading monomial."""
 
-    __slots__ = ("ring", "order", "elements", "reduced")
+    __slots__ = ("ring", "order", "elements")
 
-    def __init__(
-        self,
-        ring: PolynomialRing,
-        order: MonomialOrder,
-        elements: Sequence[Poly],
-        reduced: bool = True,
-    ):
+    def __init__(self, ring: PolynomialRing, order: MonomialOrder, elements: Sequence[Poly]):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self.reduced = reduced
 
     def __iter__(self):
         return iter(self.elements)
@@ -173,7 +173,7 @@ def buchberger(
     Normal pair-selection strategy; the coprime and chain criteria prune
     pairs; single-term pairs are skipped outright (their S-polynomials
     vanish identically).  Raises DegreeBudgetExceeded when the configured
-    pair-reduction count (or max degree, if set) is exhausted.
+    pair-reduction count is exhausted.
     """
     if isinstance(ideal, Ideal):
         ring, gens = ideal.ring, list(ideal.gens)
@@ -259,10 +259,6 @@ def buchberger(
         if not r:
             continue
         p = Poly(ring, r).monic(order)
-        if config.max_degree is not None and p.total_degree() > config.max_degree:
-            raise DegreeBudgetExceeded(
-                f"Buchberger element degree {p.total_degree()} exceeds cap {config.max_degree}"
-            )
         basis.append(p)
         lms.append(p.leading_exp(order))
         push_pairs(len(basis) - 1)
@@ -287,8 +283,69 @@ def buchberger(
     return GroebnerBasis(ring, order, final)
 
 
-def contains_one(gb: GroebnerBasis) -> bool:
-    return gb.contains_one()
+# -- inequations -----------------------------------------------------------
+
+
+def sorted_unique(polys: Iterable[Poly], order: MonomialOrder) -> list[Poly]:
+    """The polynomials ascending by poly_sort_key, each once."""
+    by_key = {poly_sort_key(p, order): p for p in polys}
+    return [by_key[k] for k in sorted(by_key)]
+
+
+def _divide_out(u: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
+    """u divided by the first divisor that divides it exactly, repeatedly.
+
+    Divisors are tried in the given order and constants are skipped.  Only
+    those whose leading monomial divides lm(u) are tried, since every exact
+    divisor's does.  Stops when u is a scalar or no divisor divides it.
+    """
+    lead = [(v.leading_exp(order), v) for v in divisors if not v.is_constant()]
+    while not u.is_constant():
+        lm = u.leading_exp(order)
+        for vlm, v in lead:
+            if _divides(vlm, lm):
+                q = exact_divide(u, v, order)
+                if q is not None:
+                    u = q
+                    break
+        else:
+            break
+    return u
+
+
+def reduce_inequations(
+    ineqs: Iterable[Poly], gb_elements: Sequence[Poly], order: MonomialOrder
+) -> Optional[tuple]:
+    """Inequations as semigroup generators of the same localization.
+
+    Each is put in normal form modulo the Groebner basis elements, made
+    monic, and dropped if scalar; the rest are sorted and deduplicated.
+    Then, smallest first, each is divided by the smaller ones that divide
+    it; a quotient that sorts below earlier survivors sends those back to
+    be divided again, and one that becomes scalar is dropped.  Returns None
+    when an inequation lies in the ideal: inverting it leaves nothing.
+    """
+    reduced = []
+    for u in ineqs:
+        r = normal_form(u, gb_elements, order) if gb_elements else u
+        if r.is_zero():
+            return None
+        if not r.is_constant():
+            reduced.append(r.monic(order))
+    pending = sorted_unique(reduced, order)
+    done: list[Poly] = []
+    keys: list = []
+    while pending:
+        u = _divide_out(pending.pop(0), done, order)
+        if u.is_constant():
+            continue
+        k = poly_sort_key(u, order)
+        pos = bisect_left(keys, k)
+        pending[:0] = done[pos:]
+        del done[pos:], keys[pos:]
+        done.append(u)
+        keys.append(k)
+    return tuple(done)
 
 
 # -- saturation ------------------------------------------------------------
@@ -343,13 +400,12 @@ def saturate(
 ) -> Ideal:
     """The saturation I : u^inf for u the product of the inequations.
 
-    Inequation generators are first reduced modulo a Groebner basis of I,
-    made monic, deduplicated, and stripped of constants; if one reduces to
-    zero the saturation is the unit ideal outright, and the zero ideal is
-    its own saturation since the polynomial ring is a domain.  The product
-    trick (one auxiliary variable) is used while the running product stays
-    small; otherwise the engine saturates by the factors one at a time,
-    which computes the identical ideal since
+    The inequations are first simplified by reduce_inequations modulo a
+    Groebner basis of I; if one lies in I the saturation is the unit ideal
+    outright, and the zero ideal is its own saturation since the polynomial
+    ring is a domain.  The product trick (one auxiliary variable) is used
+    while the running product stays small; otherwise the engine saturates
+    by the factors one at a time, which computes the identical ideal since
     I : (uv)^inf = (I : u^inf) : v^inf.
     """
     ring = ideal.ring
@@ -357,23 +413,12 @@ def saturate(
     gb = buchberger(ideal, order, config) if ideal.gens else GroebnerBasis(ring, order, ())
     if gb.contains_one():
         return Ideal(ring, (ring.one(),))
-
-    factors = []
-    seen = set()
-    for u in sorted(inequations, key=lambda p: poly_sort_key(p, order)):
-        if u.ring != ring:
-            raise RingMismatch("inequation over the wrong ring")
-        r = normal_form(u, gb.elements, order)
-        if r.is_zero():
-            # u lies in I, so 1 * u^1 is in I and the saturation is everything
-            return Ideal(ring, (ring.one(),))
-        if r.is_constant():
-            continue
-        r = r.monic(order)
-        k = poly_sort_key(r, order)
-        if k not in seen:
-            seen.add(k)
-            factors.append(r)
+    if any(u.ring != ring for u in inequations):
+        raise RingMismatch("inequation over the wrong ring")
+    factors = reduce_inequations(inequations, gb.elements, order)
+    if factors is None:
+        # some u lies in I, so 1 * u^1 is in I and the saturation is everything
+        return Ideal(ring, (ring.one(),))
     if not factors or not gb.elements:
         # nothing left to invert, or I = 0 in a domain where 0 : u^inf = 0
         return Ideal(ring, gb.elements)
@@ -440,26 +485,6 @@ def _split_linear(g: Poly, x: int) -> tuple[Poly, Poly]:
     return Poly(ring, c_terms), Poly(ring, rest_terms)
 
 
-def _is_unit_product(c: Poly, inequations: Sequence[Poly], order: MonomialOrder) -> bool:
-    """Whether c is a scalar times a product of the recorded inequations."""
-    work = c
-    for _ in range(c.total_degree() + 1):
-        if work.is_constant():
-            return not work.is_zero()
-        advanced = False
-        for u in inequations:
-            if u.is_zero() or u.is_constant():
-                continue
-            q = exact_divide(work, u, order)
-            if q is not None and q.total_degree() < work.total_degree():
-                work = q
-                advanced = True
-                break
-        if not advanced:
-            return False
-    return work.is_constant() and not work.is_zero()
-
-
 def _substitute_cleared(h: Poly, x: int, num: Poly, den: Poly) -> Poly:
     """h with x -> num/den, multiplied through by den^deg_x(h)."""
     d = h.degree_in(x)
@@ -518,7 +543,7 @@ def eliminate_linear_variables(
                 if c.is_zero():
                     continue
                 scalar = c.is_constant()
-                if not scalar and not _is_unit_product(c, ineqs, order):
+                if not scalar and not _divide_out(c, ineqs, order).is_constant():
                     continue
                 # prefer the largest variable index; for one variable,
                 # prefer scalar coefficients, then the smaller generator

@@ -20,7 +20,7 @@ from .errors import (
     NonzeroRemainder,
     SearchBudgetExceeded,
 )
-from .matroid import Matroid, mask_elements, matroid_from_graph
+from .matroid import Matroid, _component_count, mask_elements, matroid_from_graph
 
 SUBSET_SUM_LIMIT = 20
 DEFAULT_INGLETON_BUDGET = 5_000_000
@@ -294,30 +294,6 @@ def reduced_characteristic_polynomial(m: Matroid) -> UniPoly:
     return chi.divide_exact(UniPoly((-1, 1)))
 
 
-def _component_count(edges, num_vertices: Optional[int]) -> int:
-    verts = set()
-    for u, v in edges:
-        verts.add(u)
-        verts.add(v)
-    if num_vertices is not None:
-        if verts and max(verts) > num_vertices:
-            raise InputError("edge endpoint exceeds the declared vertex count")
-        verts |= set(range(1, num_vertices + 1))
-    if not verts:
-        return 0
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in verts})
-
-
 def chromatic_polynomial(
     edges: Sequence[tuple[int, int]], num_vertices: Optional[int] = None
 ) -> UniPoly:
@@ -334,7 +310,12 @@ def chromatic_polynomial(
         if key in seen:
             raise InputError(f"parallel edge {key}")
         seen.add(key)
-    c = _component_count(edges, num_vertices)
+    verts = {x for uv in edges for x in uv}
+    if num_vertices is not None:
+        if verts and max(verts) > num_vertices:
+            raise InputError("edge endpoint exceeds the declared vertex count")
+        verts |= set(range(1, num_vertices + 1))
+    c = _component_count(verts, edges)
     chi = characteristic_polynomial(matroid_from_graph(edges))
     return chi * UniPoly([0] * c + [1])
 

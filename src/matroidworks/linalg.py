@@ -42,31 +42,12 @@ class ExactMatrix:
             out.append(tuple(field.coerce(v) for v in r))
         return cls(field, tuple(out))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        return cls(
-            field,
-            tuple(
-                tuple(field.one if i == j else field.zero for j in range(n))
-                for i in range(n)
-            ),
-        )
-
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
     def column_submatrix(self, cols: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix(
             self.field, tuple(tuple(row[j] for j in cols) for row in self.rows)
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            tuple(
-                tuple(self.rows[i][j] for i in range(self.nrows))
-                for j in range(self.ncols)
-            ),
         )
 
     def _echelon(self) -> tuple[list[list], list[int]]:
@@ -136,24 +117,6 @@ class ExactMatrix:
                 vec[pc] = f.neg(work[r][j])
             basis.append(tuple(vec))
         return basis
-
-    def solve(self, rhs: Sequence) -> Optional[tuple]:
-        """One solution of A x = rhs, or None if inconsistent."""
-        f = self.field
-        b = [f.coerce(v) for v in rhs]
-        if len(b) != self.nrows:
-            raise InputError("rhs length mismatch")
-        aug = ExactMatrix(
-            self.field,
-            tuple(tuple(row) + (b[i],) for i, row in enumerate(self.rows)),
-        )
-        work, pivots = aug._echelon()
-        if self.ncols in pivots:
-            return None
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = work[r][self.ncols]
-        return tuple(x)
 
     def det(self):
         if self.nrows != self.ncols:

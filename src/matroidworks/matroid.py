@@ -43,10 +43,6 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def subset_key(mask: int) -> tuple[int, ...]:
-    return mask_elements(mask)
-
-
 class SubsetFamily:
     """An immutable, deduplicated family of subsets of {1..n} in canonical order."""
 
@@ -64,7 +60,7 @@ class SubsetFamily:
                 raise InputError(f"subset {mask_elements(m)} outside ground set 1..{n}")
             seen.add(m)
         self.n = n
-        self.masks = tuple(sorted(seen, key=subset_key))
+        self.masks = tuple(sorted(seen, key=mask_elements))
         self._members = frozenset(seen)
 
     def __iter__(self) -> Iterator[int]:
@@ -191,9 +187,6 @@ class Matroid:
 
     # -- derived families --------------------------------------------------
 
-    def independent_sets(self) -> SubsetFamily:
-        return SubsetFamily(self.n, self._independent_masks())
-
     def flats(self, rank: Optional[int] = None) -> SubsetFamily:
         """All flats, bottom-up by rank; optionally only those of one rank."""
         if self._flats is None:
@@ -273,7 +266,7 @@ class Matroid:
         new_bases = tuple(
             sorted(
                 (m for m in indep if m.bit_count() == self.rank - 1),
-                key=subset_key,
+                key=mask_elements,
             )
         )
         return Matroid(self.n, new_bases, _validated=True)
@@ -294,7 +287,7 @@ def _relabel_to_prefix(n: int, basis_masks: Iterable[int], keep: int) -> Matroid
         for e in mask_elements(m):
             nm |= 1 << (table[e] - 1)
         out.add(nm)
-    return Matroid(k, tuple(sorted(out, key=subset_key)), _validated=True)
+    return Matroid(k, tuple(sorted(out, key=mask_elements)), _validated=True)
 
 
 # -- constructors ----------------------------------------------------------
@@ -363,52 +356,43 @@ def matroid_from_graph(edges: Sequence[tuple[int, int]]) -> Matroid:
     if n > MAX_GROUND:
         raise InputError(f"too many edges ({n}) for the bitmask limit {MAX_GROUND}")
 
-    def forest_size(edge_idx: Iterable[int]) -> Optional[int]:
+    def is_forest(edge_idx: Iterable[int]) -> bool:
         parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        count = 0
         for i in edge_idx:
             u, v = edges[i]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
-                return None
+                return False
             parent[ru] = rv
-            count += 1
-        return count
+        return True
 
     r = len(verts) - _component_count(verts, edges)
     bases = []
     for combo in itertools.combinations(range(n), r):
-        if forest_size(combo) is not None:
+        if is_forest(combo):
             m = 0
             for i in combo:
                 m |= 1 << i
             bases.append(m)
     if not bases:
         bases = [0]
-    return Matroid(n, tuple(sorted(bases, key=subset_key)), _validated=True)
+    return Matroid(n, tuple(sorted(bases, key=mask_elements)), _validated=True)
+
+
+def _find(parent: dict, x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _component_count(verts: set[int], edges: Sequence[tuple[int, int]]) -> int:
+    """Connected components of the graph on verts (which hold every endpoint)."""
     parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in verts})
+        parent[_find(parent, u)] = _find(parent, v)
+    return len({_find(parent, v) for v in verts})
 
 
 def matroid_from_matrix(field, rows: Sequence[Sequence]) -> Matroid:
@@ -436,7 +420,7 @@ def matroid_from_matrix(field, rows: Sequence[Sequence]) -> Matroid:
             bases.append(m)
     if not bases:
         bases = [0]
-    return Matroid(n, tuple(sorted(bases, key=subset_key)), _validated=True)
+    return Matroid(n, tuple(sorted(bases, key=mask_elements)), _validated=True)
 
 
 # -- JSON ------------------------------------------------------------------

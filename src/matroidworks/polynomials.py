@@ -9,7 +9,7 @@ is immutable by convention: operations build new polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, RingMismatch
 from .fields import ExtensionField, Field, RationalField
@@ -88,12 +88,6 @@ class PolynomialRing:
 
     def one(self) -> "Poly":
         return Poly(self, {self._zero_exp: self.field.one})
-
-    def const(self, value) -> "Poly":
-        c = self.field.coerce(value)
-        if self.field.is_zero(c):
-            return self.zero()
-        return Poly(self, {self._zero_exp: c})
 
     def var(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
@@ -272,7 +266,7 @@ class Poly:
     def sorted_terms(self, order: MonomialOrder) -> list[tuple]:
         return sorted(self.terms, key=order.key, reverse=True)
 
-    # -- substitution and evaluation --------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, values: Mapping[int, object], into_field: Optional[Field] = None):
         """Full evaluation; values maps variable index -> field element.
@@ -291,50 +285,6 @@ class Poly:
                         term = target.mul(term, v)
             acc = target.add(acc, term)
         return acc
-
-    def substitute(self, mapping: Mapping[int, "Poly"]) -> "Poly":
-        """Replace variables by polynomials of the same ring."""
-        if not mapping:
-            return self
-        ring = self.ring
-        out = ring.zero()
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, k: int) -> Poly:
-            key = (i, k)
-            if key not in cache:
-                cache[key] = mapping[i] ** k
-            return cache[key]
-
-        for e, c in self.terms.items():
-            stripped = tuple(0 if i in mapping else v for i, v in enumerate(e))
-            piece = Poly(ring, {stripped: c})
-            for i, k in enumerate(e):
-                if k and i in mapping:
-                    piece = piece * power(i, k)
-            out = out + piece
-        return out
-
-    def restrict(self, new_ring: PolynomialRing, index_map: Mapping[int, int]) -> "Poly":
-        """Re-embed into a ring over the same field with a subset of the variables.
-
-        index_map sends old variable indices to new ones; any variable that
-        actually occurs must be mapped.
-        """
-        if new_ring.field != self.ring.field:
-            raise RingMismatch("restrict() keeps the coefficient field")
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * new_ring.nvars
-            for i, v in enumerate(e):
-                if v:
-                    if i not in index_map:
-                        raise InputError(
-                            f"variable {self.ring.names[i]} still occurs; cannot restrict"
-                        )
-                    ne[index_map[i]] = v
-            out[tuple(ne)] = c
-        return Poly(new_ring, out)
 
     # -- comparisons -------------------------------------------------------
 

@@ -3,9 +3,12 @@
 The pipeline: pick a basis whose parameterized matrix needs the fewest
 variables, fix entries to 0/1 by the mu/nu normalization, collect the
 non-basis maximal minors as an ideal and the basis minors as inequations,
-simplify the presentation (Groebner reduction, inequation reduction,
-elimination of variables with unit linear coefficient), and decide
-emptiness by saturating the ideal at the inequations.
+simplify the presentation (Groebner reduction, inequation reduction by
+groebner.reduce_inequations, elimination of variables with unit linear
+coefficient), and decide emptiness by saturating the ideal at the
+inequations.  When an inequation lies in the ideal the verdict is Empty
+at once, and the space keeps the inequations as they were before that
+reduction, so its stored presentation still has no points.
 
 Emptiness is decided over the algebraic closure of the prime field: the
 space is empty for characteristic c exactly when 1 lies in the saturation.
@@ -44,19 +47,17 @@ from .groebner import (
     Substitution,
     buchberger,
     eliminate_linear_variables,
-    normal_form,
+    reduce_inequations,
     saturate,
+    sorted_unique,
 )
 from .linalg import ExactMatrix, MinorOracle
 from .matroid import Matroid, mask_elements, mask_of, matroid_from_matrix
-from .polynomials import (
-    DEGREVLEX,
-    Poly,
-    PolynomialRing,
-    exact_divide,
-    poly_sort_key,
-    poly_str,
-)
+from .polynomials import DEGREVLEX, PolynomialRing, poly_str
+
+# Unused here; the benchmark tracer wraps them as attributes of this module.
+from .groebner import normal_form  # noqa: F401
+from .polynomials import exact_divide  # noqa: F401
 
 
 class SpaceVerdict(Enum):
@@ -267,62 +268,6 @@ class RealizationMatrix:
         return [list(row) for row in self.matrix.rows]
 
 
-def _reduce_inequations(ineqs, gb_elements, order):
-    """Normal-form, monic, dedup, strip unit factors; True flags emptiness.
-
-    An inequation reducing to zero lies in the ideal, so inverting it
-    collapses the localized quotient; the caller turns that into the Empty
-    verdict without computing a saturation.
-    """
-    out = []
-    for u in ineqs:
-        r = normal_form(u, gb_elements, order) if gb_elements else u
-        if r.is_zero():
-            return (), True
-        if r.is_constant():
-            continue
-        out.append(r.monic(order))
-    out.sort(key=lambda p: poly_sort_key(p, order))
-    deduped = []
-    seen = set()
-    for u in out:
-        k = poly_sort_key(u, order)
-        if k not in seen:
-            seen.add(k)
-            deduped.append(u)
-    out = deduped
-    # factor out recorded inequations: u = v * w keeps only w
-    changed = True
-    while changed:
-        changed = False
-        for idx, u in enumerate(out):
-            for v in out:
-                if v is u or v.total_degree() >= u.total_degree():
-                    continue
-                q = exact_divide(u, v, order)
-                if q is None:
-                    continue
-                if q.is_constant():
-                    out.pop(idx)
-                else:
-                    out[idx] = q.monic(order)
-                changed = True
-                break
-            if changed:
-                break
-        if changed:
-            out.sort(key=lambda p: poly_sort_key(p, order))
-            deduped = []
-            seen = set()
-            for u in out:
-                k = poly_sort_key(u, order)
-                if k not in seen:
-                    seen.add(k)
-                    deduped.append(u)
-            out = deduped
-    return tuple(out), False
-
-
 def _simplify(ring, gens, ineqs, config):
     """The simplification loop: GB, inequation reduction, elimination.
 
@@ -338,10 +283,10 @@ def _simplify(ring, gens, ineqs, config):
         if gb.contains_one():
             return (ring.one(),), tuple(ineqs), tuple(subs), True
         gens = list(gb.elements)
-        ineqs_t, dead = _reduce_inequations(ineqs, gens, order)
-        if dead:
-            return tuple(gens), (), tuple(subs), True
-        ineqs = list(ineqs_t)
+        reduced = reduce_inequations(ineqs, gens, order)
+        if reduced is None:
+            return tuple(gens), tuple(ineqs), tuple(subs), True
+        ineqs = list(reduced)
         step = eliminate_linear_variables(gens, ineqs, frozenset(), order)
         if not step.substitutions:
             break
@@ -380,24 +325,16 @@ def realization_space(
     oracle = MinorOracle(grid) if m.rank > 0 else None
     order = DEGREVLEX
     gens = []
-    seen = set()
     ineqs = []
     if oracle is not None:
         r, n = m.rank, m.n
         for cols in itertools.combinations(range(n), r):
             minor = oracle.det(cols)
-            mask = mask_of((c + 1 for c in cols), n)
-            if mask in m.bases:
+            if mask_of((c + 1 for c in cols), n) in m.bases:
                 ineqs.append(minor)
-            else:
-                if minor.is_zero():
-                    continue
-                p = minor.monic(order)
-                k = poly_sort_key(p, order)
-                if k not in seen:
-                    seen.add(k)
-                    gens.append(p)
-    gens.sort(key=lambda p: poly_sort_key(p, order))
+            elif not minor.is_zero():
+                gens.append(minor.monic(order))
+    gens = sorted_unique(gens, order)
 
     subs: tuple = ()
     empty = False
@@ -409,8 +346,10 @@ def realization_space(
             undecided = True
             gens, ineqs = tuple(gens), tuple(ineqs)
     else:
-        ineqs_t, empty = _reduce_inequations(ineqs, (), order)
-        ineqs = ineqs_t
+        reduced = reduce_inequations(ineqs, (), order)
+        empty = reduced is None
+        if not empty:
+            ineqs = reduced
         gens = tuple(gens)
 
     if undecided:

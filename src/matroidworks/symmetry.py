@@ -3,7 +3,7 @@
 The isomorphism search is plain backtracking over element images, pruned by
 the per-element basis-degree invariant and by checking every r-subset of the
 assigned prefix as soon as it is complete.  Ground sets are kept small (the
-guard defaults to n <= 12) and a node budget bounds the worst case.
+guard is n <= 12) and a fixed node budget bounds the worst case.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError, MatroidworksError, SearchBudgetExceeded
 from .matroid import Matroid, mask_elements
 
-DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_MAX_GROUND = 12
+SEARCH_NODE_BUDGET = 2_000_000
+SEARCH_MAX_GROUND = 12
 
 
 class Permutation:
@@ -29,10 +29,6 @@ class Permutation:
         if sorted(images) != list(range(1, n + 1)):
             raise InputError(f"{images!r} is not a permutation of 1..{n}")
         self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -60,12 +56,6 @@ class Permutation:
         if self.n != other.n:
             raise InputError("permutation size mismatch")
         return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(inv)
 
     def is_identity(self) -> bool:
         return all(img == i + 1 for i, img in enumerate(self.images))
@@ -159,14 +149,12 @@ def _search_isomorphisms(
     m1: Matroid,
     m2: Matroid,
     find_all: bool,
-    node_budget: int,
-    max_ground: int,
 ):
     """Backtracking core; yields image tuples."""
     n, r = m1.n, m1.rank
-    if n > max_ground:
+    if n > SEARCH_MAX_GROUND:
         raise SearchBudgetExceeded(
-            f"ground set size {n} exceeds the search guard {max_ground}"
+            f"ground set size {n} exceeds the search guard {SEARCH_MAX_GROUND}"
         )
     if (n, r, len(m1.bases)) != (m2.n, m2.rank, len(m2.bases)):
         return
@@ -209,9 +197,9 @@ def _search_isomorphisms(
             if used[y]:
                 continue
             nodes += 1
-            if nodes > node_budget:
+            if nodes > SEARCH_NODE_BUDGET:
                 raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded {node_budget} nodes"
+                    f"isomorphism search exceeded {SEARCH_NODE_BUDGET} nodes"
                 )
             assign[e] = y
             used[y] = True
@@ -225,26 +213,17 @@ def _search_isomorphisms(
     return results
 
 
-def is_isomorphic(
-    m1: Matroid,
-    m2: Matroid,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_ground: int = DEFAULT_MAX_GROUND,
-) -> Optional[Permutation]:
+def is_isomorphic(m1: Matroid, m2: Matroid) -> Optional[Permutation]:
     """A witnessing permutation (bases map to bases), or None."""
-    found = _search_isomorphisms(m1, m2, False, node_budget, max_ground)
+    found = _search_isomorphisms(m1, m2, False)
     if found:
         return Permutation(found[0])
     return None
 
 
-def automorphism_group(
-    m: Matroid,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    max_ground: int = DEFAULT_MAX_GROUND,
-) -> PermutationGroup:
+def automorphism_group(m: Matroid) -> PermutationGroup:
     """Full automorphism group, returned through a small generating set."""
-    all_images = _search_isomorphisms(m, m, True, node_budget, max_ground)
+    all_images = _search_isomorphisms(m, m, True)
     perms = sorted(all_images)
     target = len(perms)
     generators: list[tuple] = []

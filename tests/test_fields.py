@@ -100,13 +100,6 @@ def test_extension_field_modulus_checks():
     assert auto.order == 8
 
 
-def test_extension_embed():
-    f = extension_field(2, 2)
-    two = f.embed(1)
-    assert not f.is_zero(two)
-    assert f.add(two, two) == f.zero
-
-
 def test_field_of_characteristic():
     assert field_of_characteristic(0) == rationals()
     assert field_of_characteristic(5) == prime_field(5)

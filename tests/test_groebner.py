@@ -1,4 +1,4 @@
-"""Buchberger, normal forms, saturation, linear elimination.
+"""Buchberger, normal forms, inequation reduction, saturation, linear elimination.
 
 The load-bearing check is the S-polynomial certificate: a basis G is a
 Groebner basis iff every S(g_i, g_j) reduces to zero against G.  Every
@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from matroidworks import groebner, realization
+from matroidworks.catalog import fano, graphic_k4, moebius_kantor, non_fano, pappus, vamos
 from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch
 from matroidworks.fields import prime_field, rationals
 from matroidworks.groebner import (
@@ -19,11 +21,12 @@ from matroidworks.groebner import (
     GBConfig,
     Ideal,
     Substitution,
+    _divide_out,
     _saturate_by_one,
     buchberger,
-    contains_one,
     eliminate_linear_variables,
     normal_form,
+    reduce_inequations,
     s_polynomial,
     saturate,
 )
@@ -32,8 +35,11 @@ from matroidworks.polynomials import (
     LEX,
     PolynomialRing,
     block_elimination,
+    exact_divide,
+    poly_sort_key,
     poly_str,
 )
+from matroidworks.realization import realization_space
 
 Q = rationals()
 
@@ -173,16 +179,16 @@ def test_contains_one():
     ring = ring_xy()
     x, y = ring.gens()
     gb = buchberger([x, x + ring.one()])
-    assert contains_one(gb)
+    assert gb.contains_one()
     gb2 = buchberger([x * y])
-    assert not contains_one(gb2)
+    assert not gb2.contains_one()
 
 
 def test_zero_and_empty_ideals():
     ring = ring_xy()
     gb = buchberger(Ideal(ring, []))
     assert gb.elements == ()
-    assert not contains_one(gb)
+    assert not gb.contains_one()
     gb2 = buchberger([ring.zero()])
     assert gb2.elements == ()
 
@@ -232,10 +238,10 @@ def test_saturation_to_unit_ideal():
     ring = ring_xy()
     x, y = ring.gens()
     sat = saturate(Ideal(ring, [x * x]), [x])
-    assert contains_one(buchberger(sat))
+    assert buchberger(sat).contains_one()
     # an inequation reducing to zero modulo the ideal forces the unit ideal
     sat2 = saturate(Ideal(ring, [x]), [x * y])
-    assert contains_one(buchberger(sat2))
+    assert buchberger(sat2).contains_one()
 
 
 def test_saturation_idempotent():
@@ -414,3 +420,158 @@ def test_s_polynomial_cancels_leading_terms():
     s = s_polynomial(f, g)
     # lcm(x^2 y, x y^2) = x^2 y^2; y*f - x*g kills the leading terms
     assert s == (x * y).scale(Fraction(2))
+
+
+# -- inequation reduction ---------------------------------------------------
+
+
+def sorted_dedup(polys):
+    out, seen = [], set()
+    for p in sorted(polys, key=poly_sort_key):
+        k = poly_sort_key(p)
+        if k not in seen:
+            seen.add(k)
+            out.append(p)
+    return out
+
+
+def restart_reduction(ineqs, gb_elements, order):
+    """Oracle: after each single division, re-sort, deduplicate and rescan
+    the whole list from the start; None when an inequation is in the ideal."""
+    out = []
+    for u in ineqs:
+        r = normal_form(u, gb_elements, order) if gb_elements else u
+        if r.is_zero():
+            return None
+        if not r.is_constant():
+            out.append(r.monic(order))
+    out = sorted_dedup(out)
+    changed = True
+    while changed:
+        changed = False
+        for idx, u in enumerate(out):
+            for v in out:
+                if v is u or v.total_degree() >= u.total_degree():
+                    continue
+                q = exact_divide(u, v, order)
+                if q is not None:
+                    out[idx] = q.monic(order)
+                    changed = True
+                    break
+            if changed:
+                break
+        out = sorted_dedup(out)
+    return tuple(out)
+
+
+def unit_by_search(c, inequations, order):
+    """Oracle: divide c by the first inequation that divides it, try every
+    inequation again on the quotient, and report whether a scalar is left."""
+    work = c
+    for _ in range(c.total_degree() + 1):
+        if work.is_constant():
+            return not work.is_zero()
+        for u in inequations:
+            if u.is_constant():
+                continue
+            q = exact_divide(work, u, order)
+            if q is not None and q.total_degree() < work.total_degree():
+                work = q
+                break
+        else:
+            return False
+    return work.is_constant() and not work.is_zero()
+
+
+def test_reduction_matches_oracles_on_catalog_spaces(monkeypatch):
+    """Every inequation reduction and unit check made while building the
+    catalog's spaces agrees with the oracles; the raw inequations of each
+    call are also reduced without an ideal, as --no-simplify does."""
+    calls = {"reduce": 0, "unit": 0}
+
+    def checked_reduce(ineqs, gb_elements, order):
+        ineqs = list(ineqs)
+        calls["reduce"] += 1
+        got = reduce_inequations(ineqs, gb_elements, order)
+        assert got == restart_reduction(ineqs, gb_elements, order)
+        assert reduce_inequations(ineqs, (), order) == restart_reduction(ineqs, (), order)
+        return got
+
+    def checked_divide_out(u, divisors, order):
+        got = _divide_out(u, divisors, order)
+        if not u.is_zero():
+            calls["unit"] += 1
+            assert got.is_constant() == unit_by_search(u, divisors, order)
+        return got
+
+    monkeypatch.setattr(realization, "reduce_inequations", checked_reduce)
+    monkeypatch.setattr(groebner, "reduce_inequations", checked_reduce)
+    monkeypatch.setattr(groebner, "_divide_out", checked_divide_out)
+    for m in (fano(), non_fano(), vamos(), moebius_kantor(), pappus(), graphic_k4()):
+        for c in (0, 2, 3, 5, 7):
+            realization_space(m, c)
+    assert calls["reduce"] >= 60 and calls["unit"] > 0
+
+
+def random_linear_form(rng, ring):
+    field = ring.field
+    terms = {(0,) * ring.nvars: field.coerce(rng.randint(-2, 2))}
+    for i in rng.sample(range(ring.nvars), rng.randint(1, ring.nvars)):
+        exp = tuple(1 if j == i else 0 for j in range(ring.nvars))
+        terms[exp] = field.coerce(rng.choice([-2, -1, 1, 2, 3]))
+    return ring.from_terms(terms)
+
+
+def random_product(rng, pool, scalar_range):
+    p = pool[0].ring.one().scale(rng.randint(*scalar_range))
+    for _ in range(rng.randint(1, 3)):
+        p = p * rng.choice(pool)
+    return p
+
+
+@pytest.mark.parametrize("field,seed", [(Q, 11), (prime_field(3), 12)])
+def test_reduction_matches_restart_loop_on_random_products(field, seed):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    rng = random.Random(seed)
+    shrunk = dead = 0
+    for _ in range(60):
+        pool = [random_linear_form(rng, ring) for _ in range(rng.randint(2, 4))]
+        pool = [f for f in pool if not f.is_constant()]
+        if not pool:
+            continue
+        ineqs = [random_product(rng, pool, (1, 2)) for _ in range(rng.randint(2, 7))]
+        gb = ()
+        if rng.random() < 0.3:
+            g = random_linear_form(rng, ring)
+            gb = buchberger([g]).elements
+            if rng.random() < 0.3:
+                ineqs.append(g * rng.choice(pool))
+        got = reduce_inequations(ineqs, gb, DEGREVLEX)
+        assert got == restart_reduction(ineqs, gb, DEGREVLEX)
+        if got is None:
+            dead += 1
+        elif len(got) < len(sorted_dedup(p.monic(DEGREVLEX) for p in ineqs)):
+            shrunk += 1
+    assert shrunk >= 20 and dead >= 2
+
+
+@pytest.mark.parametrize("field,seed", [(Q, 21), (prime_field(3), 22)])
+def test_unit_check_matches_greedy_search(field, seed):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    rng = random.Random(seed)
+    verdicts = {True: 0, False: 0}
+    for _ in range(80):
+        pool = [random_linear_form(rng, ring) for _ in range(3)]
+        pool = [f for f in pool if not f.is_constant()]
+        if not pool:
+            continue
+        ineqs = [random_product(rng, pool, (1, 1)) for _ in range(rng.randint(1, 4))]
+        c = random_product(rng, ineqs, (1, 2))
+        if rng.random() < 0.4:
+            c = c * random_linear_form(rng, ring)
+        if c.is_zero():
+            continue
+        unit = _divide_out(c, ineqs, DEGREVLEX).is_constant()
+        assert unit == unit_by_search(c, ineqs, DEGREVLEX)
+        verdicts[unit] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20

@@ -36,7 +36,6 @@ from matroidworks.matroid import (
     matroid_from_json_dict,
     matroid_from_matrix,
     matroid_to_json_dict,
-    subset_key,
 )
 
 
@@ -111,7 +110,7 @@ def test_flats_are_exactly_closure_fixed_points():
     for m in battery():
         expect = sorted(
             {s for s in all_subsets(m.n) if closure_oracle(m, s) == s},
-            key=subset_key,
+            key=mask_elements,
         )
         assert list(m.flats()) == expect
         for r in range(m.rank + 1):
@@ -144,7 +143,7 @@ def test_cryptomorphism_round_trips():
         ]
         top = max(s.bit_count() for s in indep)
         rebuilt = sorted(
-            (s for s in indep if s.bit_count() == top), key=subset_key
+            (s for s in indep if s.bit_count() == top), key=mask_elements
         )
         assert rebuilt == list(m.bases)
         via_rank = sorted(
@@ -153,7 +152,7 @@ def test_cryptomorphism_round_trips():
                 for s in all_subsets(m.n)
                 if s.bit_count() == m.rank and rank_oracle(m, s) == m.rank
             ),
-            key=subset_key,
+            key=mask_elements,
         )
         assert via_rank == list(m.bases)
 
@@ -234,7 +233,7 @@ def test_delete_against_oracle():
                         and t.bit_count() == r
                         and independent_oracle(m, t)
                     },
-                    key=subset_key,
+                    key=mask_elements,
                 )
                 assert got.n == len(keep)
                 assert list(got.bases) == expect
@@ -272,7 +271,7 @@ def test_truncate():
                 for s in all_subsets(m.n)
                 if s.bit_count() == m.rank - 1 and independent_oracle(m, s)
             ),
-            key=subset_key,
+            key=mask_elements,
         )
         assert list(t.bases) == expect
     with pytest.raises(InputError):
@@ -316,7 +315,7 @@ def test_graph_matroids():
     best, forests = count_spanning_forests(4, edges)
     assert best == 3
     expect = sorted(
-        (mask_of([i + 1 for i in c], 6) for c in forests), key=subset_key
+        (mask_of([i + 1 for i in c], 6) for c in forests), key=mask_elements
     )
     assert list(m.bases) == expect
 

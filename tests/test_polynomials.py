@@ -85,7 +85,7 @@ def test_leading_data():
     f = x * y + z * z * z
     assert f.leading_exp(DEGREVLEX) == (0, 0, 3)
     assert f.leading_exp(LEX) == (1, 1, 0)
-    g = ring.const(Fraction(3)) * x
+    g = ring.one().scale(Fraction(3)) * x
     assert g.leading_coeff(DEGREVLEX) == Fraction(3)
     assert g.monic(DEGREVLEX) == x
     with pytest.raises(InputError):
@@ -126,24 +126,10 @@ def test_substitute_and_evaluate():
     ring = qring("x", "y")
     x, y = ring.gens()
     f = x * x + y
-    g = f.substitute({0: y + ring.one()})
-    assert g == (y + ring.one()) * (y + ring.one()) + y
     v = f.evaluate({0: Fraction(2), 1: Fraction(3)})
     assert v == Fraction(7)
     f5 = prime_field(5)
     assert f.evaluate({0: 2, 1: 3}, into_field=f5) == f5.coerce(7)
-
-
-def test_restrict_moves_variables():
-    big = qring("a", "b", "c")
-    small = qring("b", "c")
-    a, b, c = big.gens()
-    f = b * c + c
-    moved = f.restrict(small, {1: 0, 2: 1})
-    bs, cs = small.gens()
-    assert moved == bs * cs + cs
-    with pytest.raises(InputError):
-        (a + b).restrict(small, {1: 0, 2: 1})
 
 
 def test_ring_mismatch():
@@ -160,7 +146,7 @@ def test_poly_str_golden():
     x, y = ring.gens()
     assert poly_str(ring.zero()) == "0"
     assert poly_str(ring.one()) == "1"
-    assert poly_str(x * x - y + ring.const(2)) == "x^2 - y + 2"
+    assert poly_str(x * x - y + ring.one().scale(2)) == "x^2 - y + 2"
     assert poly_str(x * y.scale(Fraction(-1, 2))) == "-1/2*x*y"
     f5 = PolynomialRing(prime_field(5), ("u",))
     u = f5.gens()[0]

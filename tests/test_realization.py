@@ -271,9 +271,7 @@ def test_search_points_match_full_enumeration(name):
         expected = brute_force_points(space, q)
         assert searched(space, q) == [tuple(v.items()) for v in expected]
         real = find_realization(m, q)
-        # an Empty space may keep a presentation with points: its dead
-        # inequation is dropped, and the verdict alone answers None
-        if expected and space.verdict is not SpaceVerdict.EMPTY:
+        if expected:
             assert real.rows() == matrix_at(space, expected[0], real.field)
         else:
             assert real is None
@@ -314,3 +312,28 @@ def test_table_builds_one_space_per_characteristic(monkeypatch):
         assert built == [2, 3, 5, 7, 11, 13]
         assert table == {q: is_realizable_over_q(m, q) for q in table}
         assert list(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+
+CATALOG = {
+    "fano": fano,
+    "non_fano": non_fano,
+    "vamos": vamos,
+    "moebius_kantor": moebius_kantor,
+    "pappus": pappus,
+    "k4": graphic_k4,
+}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_empty_presentations_have_no_points(name):
+    """An Empty verdict's stored presentation has no F_p point either.
+
+    When an inequation lies in the ideal the space keeps the inequations
+    it had before that reduction; dropping them all would leave a
+    presentation with points (non_fano in characteristic 2 has (1, 1, 1)).
+    """
+    m = CATALOG[name]()
+    for p in (2, 3, 5, 7):
+        space = realization_space(m, p)
+        if space.verdict is SpaceVerdict.EMPTY and p ** space.num_free_variables <= 10_000:
+            assert brute_force_points(space, p) == []

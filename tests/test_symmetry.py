@@ -3,9 +3,13 @@
 import itertools
 import random
 
+import pytest
+
 from matroidworks.catalog import fano, graphic_k4, non_fano, uniform, vamos
-from matroidworks.matroid import matroid_from_bases, subset_key
+from matroidworks.errors import SearchBudgetExceeded
+from matroidworks.matroid import mask_elements, matroid_from_bases
 from matroidworks.symmetry import (
+    SEARCH_MAX_GROUND,
     Permutation,
     automorphism_group,
     is_isomorphic,
@@ -77,7 +81,7 @@ def test_isomorphism_reflexive_symmetric_on_relabelings():
         assert w is not None
         # the witness really maps the basis family onto the target's
         assert sorted(
-            (w.apply_mask(b) for b in m.bases), key=subset_key
+            (w.apply_mask(b) for b in m.bases), key=mask_elements
         ) == list(m2.bases)
         back = is_isomorphic(m2, m)
         assert back is not None
@@ -87,6 +91,14 @@ def test_non_isomorphic_pairs():
     assert is_isomorphic(fano(), non_fano()) is None
     assert is_isomorphic(uniform(2, 4), uniform(3, 4)) is None
     assert is_isomorphic(uniform(2, 4), rank2_example()) is None
+
+
+def test_ground_set_guard():
+    big = uniform(1, SEARCH_MAX_GROUND + 1)
+    with pytest.raises(SearchBudgetExceeded):
+        automorphism_group(big)
+    with pytest.raises(SearchBudgetExceeded):
+        is_isomorphic(big, big)
 
 
 def test_permutation_algebra():
