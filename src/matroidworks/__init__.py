@@ -29,6 +29,7 @@ from .corpus import (
     run_corpus,
 )
 from .errors import (
+    Budget,
     BudgetError,
     DegreeBudgetExceeded,
     EmptyFamily,
@@ -44,6 +45,8 @@ from .errors import (
     SearchBudgetExceeded,
     UnequalBasisSizes,
     WrongDegree,
+    budget,
+    current_budget,
 )
 from .fields import (
     extension_field,
@@ -53,8 +56,6 @@ from .fields import (
     rationals,
 )
 from .groebner import (
-    DEFAULT_GB_CONFIG,
-    GBConfig,
     GroebnerBasis,
     Ideal,
     Substitution,
@@ -96,7 +97,6 @@ from .polynomials import (
     poly_str,
 )
 from .realization import (
-    DEFAULT_SEARCH_BUDGET,
     UNDECIDED,
     RealizationMatrix,
     RealizationSpace,

@@ -30,7 +30,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import rationals
-from .groebner import DEFAULT_GB_CONFIG, GBConfig, GroebnerBasis, Ideal, buchberger
+from .groebner import GroebnerBasis, Ideal, buchberger
 from .linalg import ExactMatrix
 from .matroid import Matroid, mask_elements, mask_of
 from .polynomials import DEGREVLEX, Poly, PolynomialRing
@@ -352,10 +352,10 @@ class ChowRing:
         self._ideal_polys = tuple(gens)
         return self._ideal_polys
 
-    def groebner_basis(self, config: GBConfig = DEFAULT_GB_CONFIG) -> GroebnerBasis:
+    def groebner_basis(self) -> GroebnerBasis:
         """Reduced degrevlex basis of I + J by Buchberger; small rings only
         in practice, the graded engine does not need it."""
-        return buchberger(Ideal(self.ring, self.ideal_generators()), DEGREVLEX, config)
+        return buchberger(Ideal(self.ring, self.ideal_generators()), DEGREVLEX)
 
     # -- volume -----------------------------------------------------------
 

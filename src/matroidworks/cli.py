@@ -4,12 +4,14 @@ Subcommands: info, realization, realizable-q, invariants, chow, corpus.
 Matroids come from the catalog (--name, including uniform(r,n)) or from a
 JSON file (--file).  Output is --format text (session style) or json; only
 the JSON shape is contractual.  Exit codes: 0 success, 2 parse error,
-3 budget exceeded, 4 mathematical precondition violated.
+3 budget exceeded, 4 mathematical precondition violated.  A subcommand
+takes only the budget flags it reads, and runs under the Budget they set.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,13 +25,14 @@ from .chow import (
 )
 from .corpus import ACTIONS, load_corpus, run_corpus
 from .errors import (
+    Budget,
     BudgetError,
     InputError,
     LoopPresent,
     MatroidworksError,
     PreconditionError,
+    budget,
 )
-from .groebner import DEFAULT_GB_CONFIG, GBConfig
 from .invariants import (
     characteristic_polynomial,
     ingleton_violation,
@@ -44,7 +47,6 @@ from .matroid import (
     matroid_to_json_dict,
 )
 from .realization import (
-    DEFAULT_SEARCH_BUDGET,
     SpaceVerdict,
     realization_space,
     realizability_table,
@@ -53,30 +55,22 @@ from .symmetry import automorphism_group
 
 PROFILE_CHARACTERISTICS = (0, 2, 3, 5, 7, 11, 13)
 
+# Budget flags: (flag, the Budget field it sets, help).
+BUDGET_GB = ("--budget-gb", "pair_reductions", "cap on Groebner pair reductions")
+BUDGET_SEARCH = ("--budget-search", "search_nodes", "cap on search nodes visited")
+
 
 def _add_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--name", help="catalog matroid, e.g. fano or uniform(2,4)")
     sub.add_argument("--file", help="path to a matroid JSON file")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *budget_flags) -> None:
     sub.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
-    sub.add_argument(
-        "--budget-gb",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on Groebner pair reductions",
-    )
-    sub.add_argument(
-        "--budget-search",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        metavar="N",
-        help="cap on finite-field point enumeration",
-    )
+    for flag, field, text in budget_flags:
+        sub.add_argument(flag, type=int, dest=field, metavar="N", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("info", help="rank, bases, circuits, flats")
     _add_source(p)
-    _add_common(p)
+    _add_common(p, BUDGET_SEARCH)
     p.add_argument(
         "--aut", action="store_true", help="also compute the automorphism group order"
     )
@@ -95,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("realization", help="realization space over one characteristic")
     _add_source(p)
-    _add_common(p)
+    _add_common(p, BUDGET_GB)
     p.add_argument("--char", type=int, default=0, metavar="C")
     p.add_argument(
         "--profile",
@@ -111,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("realizable-q", help="realizability over GF(q) up to a bound")
     _add_source(p)
-    _add_common(p)
+    _add_common(p, BUDGET_GB, BUDGET_SEARCH)
     p.add_argument("--qmax", type=int, default=13, metavar="Q")
     p.set_defaults(handler=cmd_realizable_q)
 
@@ -131,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_file", metavar="FILE")
     p.add_argument("--filter", default=None, help="simple or rank=k")
     p.add_argument("--action", default="realizable-char0", choices=ACTIONS)
-    _add_common(p)
+    _add_common(p, BUDGET_GB)
     p.set_defaults(handler=cmd_corpus)
     return parser
 
@@ -153,14 +147,6 @@ def _load_matroid(args) -> Matroid:
             f"{args.file}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return matroid_from_json_dict(data)
-
-
-def _gb_config(args) -> GBConfig:
-    if args.budget_gb is None:
-        return DEFAULT_GB_CONFIG
-    if args.budget_gb <= 0:
-        raise InputError("--budget-gb must be positive")
-    return GBConfig(max_pair_reductions=args.budget_gb)
 
 
 def _emit(args, report: dict, text_lines) -> None:
@@ -248,13 +234,12 @@ def _space_lines(space) -> list[str]:
 
 def cmd_realization(args) -> int:
     m = _load_matroid(args)
-    config = _gb_config(args)
     simplify = not args.no_simplify
     if args.profile:
         rows = []
         any_undecided = False
         for c in PROFILE_CHARACTERISTICS:
-            space = realization_space(m, c, simplify=simplify, config=config)
+            space = realization_space(m, c, simplify=simplify)
             any_undecided |= space.verdict is SpaceVerdict.UNDECIDED
             rows.append(
                 {
@@ -271,7 +256,7 @@ def cmd_realization(args) -> int:
             )
         _emit(args, report, lines)
         return 3 if any_undecided else 0
-    space = realization_space(m, args.char, simplify=simplify, config=config)
+    space = realization_space(m, args.char, simplify=simplify)
     _emit(args, space.to_json_dict(), _space_lines(space))
     return 3 if space.verdict is SpaceVerdict.UNDECIDED else 0
 
@@ -283,9 +268,7 @@ def cmd_realizable_q(args) -> int:
     m = _load_matroid(args)
     if args.qmax < 2:
         raise InputError("--qmax must be at least 2")
-    table = realizability_table(
-        m, args.qmax, search_budget=args.budget_search, config=_gb_config(args)
-    )
+    table = realizability_table(m, args.qmax)
     rows = [{"q": q, "realizable": table[q]} for q in sorted(table)]
     report = {"qmax": args.qmax, "table": rows}
     lines = [f"q={r['q']}: {'yes' if r['realizable'] else 'no'}" for r in rows]
@@ -381,12 +364,7 @@ def cmd_chow(args) -> int:
 
 def cmd_corpus(args) -> int:
     entries = load_corpus(args.corpus_file)
-    summary = run_corpus(
-        entries,
-        action=args.action,
-        filter_spec=args.filter,
-        config=_gb_config(args),
-    )
+    summary = run_corpus(entries, action=args.action, filter_spec=args.filter)
     report = summary.to_json_dict()
     lines = []
     for r in summary.results:
@@ -405,8 +383,14 @@ def cmd_corpus(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limits = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Budget)
+        if getattr(args, f.name, None) is not None
+    }
     try:
-        return args.handler(args)
+        with budget(**limits):
+            return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

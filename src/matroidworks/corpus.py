@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InputError, MatroidworksError
-from .groebner import DEFAULT_GB_CONFIG, GBConfig
 from .matroid import Matroid, matroid_from_json_dict
 from .realization import UNDECIDED, is_realizable
 
@@ -142,7 +141,6 @@ def run_corpus(
     entries,
     action: str = "realizable-char0",
     filter_spec: Optional[str] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> CorpusSummary:
     """Run one action over the entries, in input order.
 
@@ -160,7 +158,7 @@ def run_corpus(
             continue
         n_sel += 1
         try:
-            verdict = is_realizable(entry.matroid, 0, config=config)
+            verdict = is_realizable(entry.matroid, 0)
         except MatroidworksError as exc:
             n_err += 1
             results.append(

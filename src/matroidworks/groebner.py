@@ -4,9 +4,10 @@ linear-variable elimination.
 The engine is deterministic end to end: generators are sorted on entry,
 S-pairs are processed in normal strategy (smallest lcm first, index
 tie-break), and the two classical Buchberger criteria (coprime leading
-monomials and the chain criterion) prune pairs.  Budgets are explicit; when
-one trips, DegreeBudgetExceeded carries the partial state's description
-rather than returning a wrong basis.
+monomials and the chain criterion) prune pairs.  Each Buchberger run is
+capped by the current budget's pair_reductions (errors.budget); when the
+cap trips, DegreeBudgetExceeded is raised rather than a wrong basis
+returned.
 
 Inequations (the elements inverted in a localization) are simplified in one
 place, reduce_inequations: normal form, monic, no scalars, sorted without
@@ -22,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegreeBudgetExceeded, InputError, RingMismatch
+from .errors import DegreeBudgetExceeded, InputError, RingMismatch, current_budget
 from .polynomials import (
     DEGREVLEX,
     MonomialOrder,
@@ -32,14 +33,6 @@ from .polynomials import (
     exact_divide,
     poly_sort_key,
 )
-
-
-@dataclass(frozen=True)
-class GBConfig:
-    max_pair_reductions: int = 1_000_000
-
-
-DEFAULT_GB_CONFIG = GBConfig()
 
 
 class Ideal:
@@ -166,15 +159,15 @@ def normal_form(
 def buchberger(
     ideal: Ideal | Sequence[Poly],
     order: MonomialOrder = DEGREVLEX,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal pair-selection strategy; the coprime and chain criteria prune
     pairs; single-term pairs are skipped outright (their S-polynomials
-    vanish identically).  Raises DegreeBudgetExceeded when the configured
-    pair-reduction count is exhausted.
+    vanish identically).  Raises DegreeBudgetExceeded after more pair
+    reductions than the current budget's pair_reductions.
     """
+    limit = current_budget().pair_reductions
     if isinstance(ideal, Ideal):
         ring, gens = ideal.ring, list(ideal.gens)
     else:
@@ -250,10 +243,8 @@ def buchberger(
         if len(basis[i].terms) == 1 and len(basis[j].terms) == 1:
             continue
         reductions += 1
-        if reductions > config.max_pair_reductions:
-            raise DegreeBudgetExceeded(
-                f"Buchberger exceeded {config.max_pair_reductions} pair reductions"
-            )
+        if reductions > limit:
+            raise DegreeBudgetExceeded(f"Buchberger exceeded {limit} pair reductions")
         s = s_polynomial(basis[i], basis[j], order)
         r = _reduce_terms(s.terms, sorted_divisors(), order, field)
         if not r:
@@ -374,9 +365,7 @@ def _project(p: Poly, ring: PolynomialRing) -> Optional[Poly]:
     return Poly(ring, out)
 
 
-def _saturate_by_one(
-    gens: Sequence[Poly], u: Poly, config: GBConfig
-) -> list[Poly]:
+def _saturate_by_one(gens: Sequence[Poly], u: Poly) -> list[Poly]:
     """Generators of (gens) : u^inf via the Rabinowitsch trick."""
     ring = u.ring
     ring2 = _extended_ring(ring)
@@ -384,7 +373,7 @@ def _saturate_by_one(
     t = ring2.var(0)
     ext = [_embed(g, ring2) for g in gens]
     ext.append(t * _embed(u, ring2) - ring2.one())
-    gb = buchberger(Ideal(ring2, ext), order2, config)
+    gb = buchberger(Ideal(ring2, ext), order2)
     out = []
     for g in gb:
         p = _project(g, ring)
@@ -393,11 +382,7 @@ def _saturate_by_one(
     return out
 
 
-def saturate(
-    ideal: Ideal,
-    inequations: Sequence[Poly],
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> Ideal:
+def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
     """The saturation I : u^inf for u the product of the inequations.
 
     The inequations are first simplified by reduce_inequations modulo a
@@ -410,7 +395,7 @@ def saturate(
     """
     ring = ideal.ring
     order = DEGREVLEX
-    gb = buchberger(ideal, order, config) if ideal.gens else GroebnerBasis(ring, order, ())
+    gb = buchberger(ideal, order) if ideal.gens else GroebnerBasis(ring, order, ())
     if gb.contains_one():
         return Ideal(ring, (ring.one(),))
     if any(u.ring != ring for u in inequations):
@@ -434,14 +419,14 @@ def saturate(
             break
 
     if product is not None:
-        result = _saturate_by_one(gb.elements, product, config)
+        result = _saturate_by_one(gb.elements, product)
     else:
         result = list(gb.elements)
         for f in factors:
-            result = _saturate_by_one(result, f, config)
+            result = _saturate_by_one(result, f)
             if any(p.is_constant() and not p.is_zero() for p in result):
                 return Ideal(ring, (ring.one(),))
-    final = buchberger(Ideal(ring, result), order, config) if result else GroebnerBasis(ring, order, ())
+    final = buchberger(Ideal(ring, result), order) if result else GroebnerBasis(ring, order, ())
     if final.contains_one():
         return Ideal(ring, (ring.one(),))
     return Ideal(ring, final.elements)

@@ -19,11 +19,11 @@ from .errors import (
     LoopPresent,
     NonzeroRemainder,
     SearchBudgetExceeded,
+    current_budget,
 )
 from .matroid import Matroid, _component_count, mask_elements, matroid_from_graph
 
 SUBSET_SUM_LIMIT = 20
-DEFAULT_INGLETON_BUDGET = 5_000_000
 
 
 class UniPoly:
@@ -338,11 +338,7 @@ def _ingleton_holds(rk, a, b, c, d) -> bool:
     return lhs <= rhs
 
 
-def ingleton_violation(
-    m: Matroid,
-    exhaustive: bool = False,
-    search_budget: int = DEFAULT_INGLETON_BUDGET,
-):
+def ingleton_violation(m: Matroid, exhaustive: bool = False):
     """A quadruple (A,B,C,D) violating Ingleton's inequality, or None.
 
     The default family is ordered quadruples of pairwise-disjoint nonempty
@@ -352,10 +348,12 @@ def ingleton_violation(
     every field.  The witness is the first violator in lexicographic order
     of (A, B, C, D) over the subset pool.
 
-    The search is pruned (see below); ``search_budget`` caps the quadruples
-    that survive the pruning and reach the full inequality check, so a
-    matroid whose pruning leaves nothing to check passes under any budget.
+    The search is pruned (see below); the current budget's
+    ingleton_quadruples (errors.budget) caps the quadruples that survive the
+    pruning and reach the full inequality check, so a matroid whose pruning
+    leaves nothing to check passes under any budget.
     """
+    limit = current_budget().ingleton_quadruples
 
     class _Ranks(dict):
         def __missing__(self, mask):
@@ -410,9 +408,9 @@ def ingleton_violation(
                     if not exhaustive and c & d:
                         continue
                     checked += 1
-                    if checked > search_budget:
+                    if checked > limit:
                         raise SearchBudgetExceeded(
-                            f"Ingleton search passed {search_budget} quadruples"
+                            f"Ingleton search passed {limit} quadruples"
                         )
                     if not _ingleton_holds(rk, a, b, c, d):
                         return (

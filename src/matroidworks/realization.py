@@ -33,6 +33,7 @@ from .errors import (
     LoopPresent,
     MatroidworksError,
     SearchBudgetExceeded,
+    current_budget,
 )
 from .fields import (
     Field,
@@ -41,8 +42,6 @@ from .fields import (
     field_of_order,
 )
 from .groebner import (
-    DEFAULT_GB_CONFIG,
-    GBConfig,
     Ideal,
     Substitution,
     buchberger,
@@ -85,8 +84,6 @@ class _Undecided:
 
 
 UNDECIDED = _Undecided()
-
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ class RealizationMatrix:
         return [list(row) for row in self.matrix.rows]
 
 
-def _simplify(ring, gens, ineqs, config):
+def _simplify(ring, gens, ineqs):
     """The simplification loop: GB, inequation reduction, elimination.
 
     Returns (gens, ineqs, substitutions, empty) with empty=True when the
@@ -279,7 +276,7 @@ def _simplify(ring, gens, ineqs, config):
     gens = list(gens)
     ineqs = list(ineqs)
     for _ in range(len(ring.names) + 2):
-        gb = buchberger(Ideal(ring, gens), order, config)
+        gb = buchberger(Ideal(ring, gens), order)
         if gb.contains_one():
             return (ring.one(),), tuple(ineqs), tuple(subs), True
         gens = list(gb.elements)
@@ -301,7 +298,6 @@ def realization_space(
     characteristic: int,
     simplify: bool = True,
     basis: Optional[Sequence[int]] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> RealizationSpace:
     """The realization space of m over fields of the given characteristic.
 
@@ -341,7 +337,7 @@ def realization_space(
     undecided = False
     if simplify:
         try:
-            gens, ineqs, subs, empty = _simplify(ring, gens, ineqs, config)
+            gens, ineqs, subs, empty = _simplify(ring, gens, ineqs)
         except DegreeBudgetExceeded:
             undecided = True
             gens, ineqs = tuple(gens), tuple(ineqs)
@@ -358,7 +354,7 @@ def realization_space(
         verdict = SpaceVerdict.EMPTY
     else:
         try:
-            sat = saturate(Ideal(ring, gens), list(ineqs), config)
+            sat = saturate(Ideal(ring, gens), list(ineqs))
             one = any(
                 g.is_constant() and not g.is_zero() for g in sat.gens
             )
@@ -379,10 +375,10 @@ def realization_space(
     )
 
 
-def is_realizable(m: Matroid, characteristic: int, config: GBConfig = DEFAULT_GB_CONFIG):
+def is_realizable(m: Matroid, characteristic: int):
     """True/False over the algebraic closure of the prime field; UNDECIDED
     when budgets ran out."""
-    v = realization_space(m, characteristic, True, None, config).verdict
+    v = realization_space(m, characteristic).verdict
     if v is SpaceVerdict.NONEMPTY:
         return True
     if v is SpaceVerdict.EMPTY:
@@ -395,8 +391,9 @@ def _free_indices(space: RealizationSpace) -> list[int]:
     return [i for i in range(len(space.ring.names)) if i not in gone]
 
 
-def _search_points(space: RealizationSpace, q: int, search_budget: int):
-    """Yields value dicts for the surviving variables, admissible over F_q.
+def _search_points(space: RealizationSpace, q: int):
+    """An iterator of (F_q, value dict) for the surviving variables'
+    admissible points over F_q.
 
     A depth-first walk over the surviving variables in ring order, the
     first outermost, each running through ``iter_elements``.  Every
@@ -405,14 +402,14 @@ def _search_points(space: RealizationSpace, q: int, search_budget: int):
     prefix that already fails is never extended.  Admissibility is the
     conjunction of those checks: the points and their order are exactly
     those of the full enumeration of all q^k assignments.
+
+    Each value tried at any depth is one search node.  The walk raises
+    SearchBudgetExceeded on visiting more nodes than the budget's
+    search_nodes, read when this function is called.
     """
+    limit = current_budget().search_nodes
     fq = field_of_order(q)
     free = _free_indices(space)
-    total = q ** len(free)
-    if total > search_budget:
-        raise SearchBudgetExceeded(
-            f"{total} assignments over F_{q} exceed the budget of {search_budget}"
-        )
     depth_of = {v: d for d, v in enumerate(free)}
     checks: list[list] = [[] for _ in free]  # (poly, must vanish) per depth
     for polys, vanish in (
@@ -424,40 +421,42 @@ def _search_points(space: RealizationSpace, q: int, search_budget: int):
             if used:
                 checks[max(depth_of[v] for v in used)].append((p, vanish))
             elif fq.is_zero(p.evaluate({}, fq)) != vanish:
-                return
+                return iter(())
     elems = list(fq.iter_elements())
     values: dict = {}
+    nodes = 0
 
     def walk(d: int):
+        nonlocal nodes
         if d == len(free):
             yield fq, dict(values)
             return
         var, here = free[d], checks[d]
         for a in elems:
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded(
+                    f"point search over F_{q} exceeded {limit} nodes"
+                )
             values[var] = a
             if all(
                 fq.is_zero(p.evaluate(values, fq)) == vanish for p, vanish in here
             ):
                 yield from walk(d + 1)
 
-    yield from walk(0)
+    return walk(0)
 
 
-def _realizable_in(space: RealizationSpace, q: int, search_budget: int) -> bool:
+def _realizable_in(space: RealizationSpace, q: int) -> bool:
     """Whether the space has a point over F_q; Empty short-circuits to False."""
     if space.verdict is SpaceVerdict.EMPTY:
         return False
-    for _ in _search_points(space, q, search_budget):
+    for _ in _search_points(space, q):
         return True
     return False
 
 
-def is_realizable_over_q(
-    m: Matroid,
-    q: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> bool:
+def is_realizable_over_q(m: Matroid, q: int) -> bool:
     """Exhaustive realizability over the finite field with q elements.
 
     The characteristic-p space is simplified first; its surviving variables
@@ -465,17 +464,10 @@ def is_realizable_over_q(
     since F_q embeds in the algebraic closure.
     """
     p, _ = factor_prime_power(q)
-    return _realizable_in(
-        realization_space(m, p, True, None, config), q, search_budget
-    )
+    return _realizable_in(realization_space(m, p), q)
 
 
-def find_realization(
-    m: Matroid,
-    q: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> Optional[RealizationMatrix]:
+def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
     """An explicit r x n matrix over F_q realizing m, or None.
 
     The found point is pushed back through the substitution log (all
@@ -483,10 +475,10 @@ def find_realization(
     matrix re-checked: its matroid must equal m on the nose.
     """
     p, _ = factor_prime_power(q)
-    space = realization_space(m, p, True, None, config)
+    space = realization_space(m, p)
     if space.verdict is SpaceVerdict.EMPTY:
         return None
-    for fq, values in _search_points(space, q, search_budget):
+    for fq, values in _search_points(space, q):
         for sub in reversed(space.substitutions):
             num = sub.numerator.evaluate(values, fq)
             den = sub.denominator.evaluate(values, fq)
@@ -512,12 +504,7 @@ def find_realization(
     return None
 
 
-def realizability_table(
-    m: Matroid,
-    q_max: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> dict[int, bool]:
+def realizability_table(m: Matroid, q_max: int) -> dict[int, bool]:
     """is_realizable_over_q for every prime power q <= q_max, ascending.
 
     Each characteristic's space is built once, at its smallest q, and
@@ -531,6 +518,6 @@ def realizability_table(
         except InputError:
             continue
         if p not in spaces:
-            spaces[p] = realization_space(m, p, True, None, config)
-        out[q] = _realizable_in(spaces[p], q, search_budget)
+            spaces[p] = realization_space(m, p)
+        out[q] = _realizable_in(spaces[p], q)
     return out

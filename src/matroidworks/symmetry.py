@@ -3,7 +3,8 @@
 The isomorphism search is plain backtracking over element images, pruned by
 the per-element basis-degree invariant and by checking every r-subset of the
 assigned prefix as soon as it is complete.  Ground sets are kept small (the
-guard is n <= 12) and a fixed node budget bounds the worst case.
+guard is n <= 12), and the current budget's search_nodes (errors.budget)
+caps the images tried in one search.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, MatroidworksError, SearchBudgetExceeded
+from .errors import InputError, MatroidworksError, SearchBudgetExceeded, current_budget
 from .matroid import Matroid, mask_elements
 
-SEARCH_NODE_BUDGET = 2_000_000
 SEARCH_MAX_GROUND = 12
 
 
@@ -150,7 +150,9 @@ def _search_isomorphisms(
     m2: Matroid,
     find_all: bool,
 ):
-    """Backtracking core; yields image tuples."""
+    """Backtracking core; returns the image tuples found.  Each image tried
+    is one node; more than the budget's search_nodes raises."""
+    limit = current_budget().search_nodes
     n, r = m1.n, m1.rank
     if n > SEARCH_MAX_GROUND:
         raise SearchBudgetExceeded(
@@ -197,10 +199,8 @@ def _search_isomorphisms(
             if used[y]:
                 continue
             nodes += 1
-            if nodes > SEARCH_NODE_BUDGET:
-                raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded {SEARCH_NODE_BUDGET} nodes"
-                )
+            if nodes > limit:
+                raise SearchBudgetExceeded(f"isomorphism search exceeded {limit} nodes")
             assign[e] = y
             used[y] = True
             if consistent(e) and dfs(e + 1):

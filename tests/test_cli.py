@@ -151,10 +151,71 @@ def test_realizable_q_table(capsys):
 def test_realizable_q_budget(capsys):
     rc, _, err = run(
         capsys,
-        ["realizable-q", "--name", "pappus", "--qmax", "11", "--budget-search", "50"],
+        # the search over F_5 tries 20 values and finds no point
+        ["realizable-q", "--name", "pappus", "--qmax", "11", "--budget-search", "19"],
     )
     assert rc == 3
     assert "budget" in err.lower()
+    rc, _, _ = run(
+        capsys,
+        ["realizable-q", "--name", "pappus", "--qmax", "11", "--budget-search", "20"],
+    )
+    assert rc == 0
+
+
+def test_realizable_q_counts_nodes_not_assignments(capsys):
+    # 13^6 assignments exceed the default 2,000,000 search nodes, but the
+    # first-witness walk visits at most 170 nodes for any q here
+    rc, d, _ = run_json(
+        capsys, ["realizable-q", "--name", "uniform(3,7)", "--qmax", "13"]
+    )
+    assert rc == 0
+    assert {row["q"] for row in d["table"] if row["realizable"]} == {7, 8, 9, 11, 13}
+
+
+@pytest.mark.parametrize("flag", ["--budget-gb", "--budget-search"])
+def test_negative_budget_is_bad_input(capsys, flag):
+    rc, _, err = run(capsys, ["realizable-q", "--name", "fano", flag, "-3"])
+    assert rc == 2
+    assert "-3" in err
+
+
+def test_zero_budget_allows_no_work(capsys):
+    # fano's presentations need no S-pair reduction and no search node
+    assert run(capsys, ["realizable-q", "--name", "fano", "--budget-gb", "0"])[0] == 0
+    assert run(capsys, ["realization", "--name", "fano", "--budget-gb", "0"])[0] == 0
+    assert run(capsys, ["realizable-q", "--name", "fano", "--budget-search", "0"])[0] == 0
+    assert run(capsys, ["realization", "--name", "pappus", "--budget-gb", "0"])[0] == 3
+    rc, _, err = run(
+        capsys, ["realizable-q", "--name", "pappus", "--budget-search", "0"]
+    )
+    assert rc == 3 and "exceeded 0 nodes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "--name", "fano", "--budget-gb", "5"],
+        ["chow", "--name", "fano", "--budget-search", "5"],
+        ["invariants", "--name", "fano", "--budget-gb", "5"],
+        ["invariants", "--name", "fano", "--budget-search", "5"],
+        ["realization", "--name", "fano", "--budget-search", "5"],
+        ["corpus", CORPUS, "--budget-search", "5"],
+    ],
+)
+def test_budget_flags_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} 5" in capsys.readouterr().err
+
+
+def test_info_aut_reads_search_budget(capsys):
+    rc, _, err = run(
+        capsys, ["info", "--name", "pappus", "--aut", "--budget-search", "5"]
+    )
+    assert rc == 3
+    assert "isomorphism search exceeded 5 nodes" in err
 
 
 def test_invariants_k4(capsys):

@@ -13,8 +13,7 @@ from matroidworks.corpus import (
     parse_filter,
     run_corpus,
 )
-from matroidworks.errors import InputError
-from matroidworks.groebner import GBConfig
+from matroidworks.errors import InputError, budget
 from matroidworks.matroid import matroid_from_bases, matroid_to_json_dict
 
 DATA = Path(__file__).parent / "data" / "catalog_corpus.json"
@@ -127,7 +126,8 @@ def test_unknown_action():
 def test_undecided_counts_as_undecided():
     # a starved pair budget cannot certify the Pappus ideal either way
     entries = parse_corpus({"entries": [entry_dict("p9", pappus())]})
-    summary = run_corpus(entries, config=GBConfig(max_pair_reductions=1))
+    with budget(pair_reductions=1):
+        summary = run_corpus(entries)
     assert summary.count_undecided == 1
     assert summary.count_true == summary.count_false == 0
     assert summary.results[0].status == "undecided"

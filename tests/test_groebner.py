@@ -14,11 +14,9 @@ import pytest
 
 from matroidworks import groebner, realization
 from matroidworks.catalog import fano, graphic_k4, moebius_kantor, non_fano, pappus, vamos
-from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch
+from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch, budget
 from matroidworks.fields import prime_field, rationals
 from matroidworks.groebner import (
-    DEFAULT_GB_CONFIG,
-    GBConfig,
     Ideal,
     Substitution,
     _divide_out,
@@ -211,8 +209,8 @@ def test_budget_exceeded():
         x * y + y * z + x * z,
         x * y * z - x - y,
     ]
-    with pytest.raises(DegreeBudgetExceeded):
-        buchberger(gens, DEGREVLEX, GBConfig(max_pair_reductions=3))
+    with budget(pair_reductions=3), pytest.raises(DegreeBudgetExceeded):
+        buchberger(gens, DEGREVLEX)
 
 
 def test_ring_mismatch_rejected():
@@ -290,7 +288,7 @@ def test_saturation_chained_matches_product():
 
 def rabinowitsch(ring, gens, u):
     """Reduced basis of (gens) : u^inf through the auxiliary variable."""
-    out = _saturate_by_one(gens, u, DEFAULT_GB_CONFIG)
+    out = _saturate_by_one(gens, u)
     return buchberger(Ideal(ring, out)).elements if out else ()
 
 

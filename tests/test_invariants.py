@@ -23,7 +23,7 @@ from matroidworks.catalog import (
     uniform,
     vamos,
 )
-from matroidworks.errors import InputError, LoopPresent, SearchBudgetExceeded
+from matroidworks.errors import InputError, LoopPresent, SearchBudgetExceeded, budget
 from matroidworks.invariants import (
     BiPoly,
     UniPoly,
@@ -277,8 +277,8 @@ def test_ingleton_realizable_matroids_pass():
 
 
 def test_ingleton_budget():
-    with pytest.raises(SearchBudgetExceeded):
-        ingleton_violation(vamos(), exhaustive=True, search_budget=50)
+    with budget(ingleton_quadruples=50), pytest.raises(SearchBudgetExceeded):
+        ingleton_violation(vamos(), exhaustive=True)
 
 
 def test_ingleton_pruned_search_matches_unpruned_loop():
@@ -297,7 +297,8 @@ def test_ingleton_pruned_search_matches_unpruned_loop():
 def test_ingleton_budget_counts_only_unpruned_quadruples():
     # sets of size <= 2 are all independent in U(4,8), so every pair (A, B)
     # has I(A;B) = 0 and no quadruple reaches the full check
-    assert ingleton_violation(uniform(4, 8), search_budget=0) is None
+    with budget(ingleton_quadruples=0):
+        assert ingleton_violation(uniform(4, 8)) is None
 
 
 def test_unipoly_arithmetic():

@@ -22,7 +22,7 @@ from matroidworks.catalog import (
     uniform,
     vamos,
 )
-from matroidworks.errors import LoopPresent, SearchBudgetExceeded
+from matroidworks.errors import LoopPresent, SearchBudgetExceeded, budget
 from matroidworks.fields import factor_prime_power, field_of_order
 from matroidworks.matroid import (
     Matroid,
@@ -33,7 +33,6 @@ from matroidworks.matroid import (
 from matroidworks.polynomials import poly_str
 from matroidworks import realization
 from matroidworks.realization import (
-    DEFAULT_SEARCH_BUDGET,
     UNDECIDED,
     SpaceVerdict,
     _free_indices,
@@ -165,9 +164,11 @@ def test_find_realization_none_when_empty():
 
 
 def test_search_budget_exceeded():
-    # two surviving variables over F_11 means 121 assignments
-    with pytest.raises(SearchBudgetExceeded):
-        is_realizable_over_q(pappus(), 11, search_budget=100)
+    # the first witness over F_11 is the seventh value tried
+    with budget(search_nodes=6), pytest.raises(SearchBudgetExceeded):
+        is_realizable_over_q(pappus(), 11)
+    with budget(search_nodes=7):
+        assert is_realizable_over_q(pappus(), 11) is True
 
 
 def test_loops_rejected():
@@ -238,10 +239,7 @@ def matrix_at(space, values, fq):
 
 
 def searched(space, q):
-    return [
-        tuple(values.items())
-        for _, values in _search_points(space, q, DEFAULT_SEARCH_BUDGET)
-    ]
+    return [tuple(values.items()) for _, values in _search_points(space, q)]
 
 
 SEARCH_ORACLE_MATROIDS = {
@@ -292,6 +290,17 @@ def test_search_checks_constant_constraints():
         assert searched(altered, 4) == [
             tuple(v.items()) for v in brute_force_points(altered, 4)
         ]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_uniform_rank3_table_matches_arc_bound(n):
+    # U(3,n) is realizable over F_q exactly when PG(2,q) has an n-arc; the
+    # largest arc has q + 1 points for odd q and q + 2 for even q.  At
+    # q = 13 and n = 7 there are 13^6 assignments, far above the default
+    # node budget, but the first-witness walk stops after a few nodes.
+    table = realizability_table(uniform(3, n), 13)
+    assert table == {q: n <= q + 1 + (q % 2 == 0) for q in table}
+    assert sorted(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 
 def test_table_builds_one_space_per_characteristic(monkeypatch):

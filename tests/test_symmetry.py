@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from matroidworks.catalog import fano, graphic_k4, non_fano, uniform, vamos
-from matroidworks.errors import SearchBudgetExceeded
+from matroidworks.catalog import fano, graphic_k4, non_fano, pappus, uniform, vamos
+from matroidworks.errors import SearchBudgetExceeded, budget
 from matroidworks.matroid import mask_elements, matroid_from_bases
 from matroidworks.symmetry import (
     SEARCH_MAX_GROUND,
@@ -99,6 +99,14 @@ def test_ground_set_guard():
         automorphism_group(big)
     with pytest.raises(SearchBudgetExceeded):
         is_isomorphic(big, big)
+
+
+def test_node_budget():
+    with budget(search_nodes=5), pytest.raises(SearchBudgetExceeded):
+        automorphism_group(pappus())
+    with budget(search_nodes=5), pytest.raises(SearchBudgetExceeded):
+        is_isomorphic(pappus(), pappus())
+    assert automorphism_group(pappus()).order == 108
 
 
 def test_permutation_algebra():
