@@ -2,13 +2,24 @@
 
 A(M) = Q[x_F | F a nonempty proper flat]/(I + J): I kills products of
 incomparable flats, J imposes the n-1 linear relations anchored at
-element 1.  Because any monomial whose support is not a chain is a
-multiple of an I-generator, the quotient lives on chain monomials alone;
-each graded piece is computed by exact Gauss-Jordan elimination of the
-J-multiples against the chain monomials of that degree, with columns in
-descending degrevlex order.  The surviving (standard) monomials coincide
-with the standard monomials of the reduced degrevlex Groebner basis of
-I + J, which the test suite re-checks against Buchberger on small inputs.
+element 1.
+
+The plain report reads every number off the lattice of flats, with no
+elimination.  Graded dimensions count the Feichtner-Yuzvinsky basis
+(Invent. Math. 155, 2004) in one pass over the flats in rank order, and
+the volumes of alpha^{r-1-j} beta^j come from the degree map through
+restrictions M|F (Adiprasito-Huh-Katz, Ann. Math. 188, 2018, section 6).
+
+Elements, volume_map and kahler_report run on the elimination engine.
+Because any monomial whose support is not a chain is a multiple of an
+I-generator, the quotient lives on chain monomials alone; each graded
+piece the engine needs is computed by exact Gauss-Jordan elimination of
+the J-multiples against the chain monomials of that degree, with columns
+in descending degrevlex order.  The surviving (standard) monomials
+coincide with the standard monomials of the reduced degrevlex Groebner
+basis of I + J, which the test suite re-checks against Buchberger on
+small inputs, and their count must equal the Feichtner-Yuzvinsky
+dimension, which the engine checks each time it builds a degree.
 
 Volumes are normalized so every complete flag monomial integrates to 1;
 alpha and beta are the degree-1 classes whose mixed volumes give the
@@ -70,6 +81,36 @@ def _insert_flat(mono: tuple, flat: int) -> tuple:
     return tuple(out)
 
 
+def _fy_dimensions(levels) -> tuple[int, ...]:
+    """dim A^d for d = 0..r-1, counted on the Feichtner-Yuzvinsky basis.
+
+    levels[k] holds the rank-k flats.  g(F) is the Hilbert function of
+    the FY monomials whose chain ends at F: g(empty) = 1 and g(F) =
+    sum_{G < F} g(G)(t + ... + t^{rk F - rk G - 1}).  The Hilbert function
+    of A(M) is the sum of g(F) over all flats, the empty flat and the
+    ground set included.
+    """
+    r = len(levels) - 1
+    g = {0: [1] + [0] * (r - 1)}
+    total = list(g[0])
+    for rho in range(2, r + 1):
+        for f in levels[rho]:
+            acc = [0] * r
+            # rank-1 flats have g = 0, so ranks 0 and 2..rho-2 contribute
+            for k in (0, *range(2, rho - 1)):
+                below = [0] * r
+                for h in levels[k]:
+                    if h & f == h:
+                        below = [a + b for a, b in zip(below, g[h])]
+                for d, c in enumerate(below):
+                    if c:
+                        for e in range(d + 1, d + rho - k):
+                            acc[e] += c
+            g[f] = acc
+            total = [a + b for a, b in zip(total, acc)]
+    return tuple(total)
+
+
 class ChowRing:
     """Graded data of A(M); built through :func:`chow_ring`."""
 
@@ -77,14 +118,14 @@ class ChowRing:
         if _token is not _BUILD_TOKEN:
             raise InputError("use chow_ring() to construct Chow rings")
         self.matroid = m
-        ground = m.ground_mask
-        closure0 = m.closure(0)
-        flats = [
-            f
-            for f in m.flats()
-            if f != ground and f != closure0 and f != 0
-        ]
-        flats.sort(key=lambda f: (m.rank_of(f), mask_elements(f)))
+        levels = [[] for _ in range(m.rank + 1)]
+        for f in m.flats():
+            levels[m.rank_of(f)].append(f)
+        # every flat, empty and ground set included, bucketed by rank
+        self._levels = tuple(
+            tuple(sorted(level, key=mask_elements)) for level in levels
+        )
+        flats = [f for level in self._levels[1 : m.rank] for f in level]
         self.flats = tuple(flats)
         self.flat_index = {f: i for i, f in enumerate(flats)}
         self.ring = PolynomialRing(
@@ -94,19 +135,29 @@ class ChowRing:
                 for f in flats
             ),
         )
-        # comparability bitmask over flat indices, per flat
-        self._comp = []
-        for i, f in enumerate(flats):
-            mask = 0
-            for j, g in enumerate(flats):
-                if f & g == f or f & g == g:
-                    mask |= 1 << j
-            self._comp.append(mask)
         self.top_degree = m.rank - 1
+        self._dimensions = _fy_dimensions(self._levels)
+        self._comp: Optional[list[int]] = None
         self._data: dict[int, _DegreeData] = {}
         self._ideal_polys: Optional[tuple] = None
         self._top_std_volume: Optional[Fraction] = None
         self._flat_tables: dict[tuple[int, int], tuple] = {}
+
+    def _comparability(self) -> list[int]:
+        """Comparability bitmask over flat indices, per flat; built on first
+        use, since only the elimination engine and the ideal generators
+        need it."""
+        if self._comp is None:
+            flats = self.flats
+            comp = []
+            for f in flats:
+                mask = 0
+                for j, g in enumerate(flats):
+                    if f & g == f or f & g == g:
+                        mask |= 1 << j
+                comp.append(mask)
+            self._comp = comp
+        return self._comp
 
     # -- graded engine ----------------------------------------------------
 
@@ -119,10 +170,9 @@ class ChowRing:
         if d == 0:
             empty = ()
             data = _DegreeData((empty,), {empty: 0}, (0,), (0,), {0: 0}, {})
-            self._data[0] = data
-            return data
+            return self._store(0, data)
         prev = self._degree(d - 1)
-        comp = self._comp
+        comp = self._comparability()
         nflats = len(self.flats)
         monos = []
         supp_of = {}
@@ -215,16 +265,25 @@ class ChowRing:
                 (std_index[k], -v) for k, v in sorted(pr.items()) if k != lead
             )
         data = _DegreeData(tuple(monos), index, supp, std_positions, std_index, nf)
+        return self._store(d, data)
+
+    def _store(self, d: int, data: _DegreeData) -> _DegreeData:
+        """Cache degree d after checking it against the FY dimension."""
+        if len(data.std_positions) != self.graded_dimension(d):
+            raise MatroidworksError(
+                f"internal: elimination finds {len(data.std_positions)} standard "
+                f"monomials in degree {d}, the FY basis {self.graded_dimension(d)}"
+            )
         self._data[d] = data
         return data
 
     def graded_dimension(self, d: int) -> int:
-        return len(self._degree(d).std_positions)
+        if d < 0 or d > self.matroid.rank:
+            raise WrongDegree(f"degree {d} outside 0..{self.matroid.rank}")
+        return 0 if d == self.matroid.rank else self._dimensions[d]
 
     def graded_dimensions(self) -> tuple[int, ...]:
-        return tuple(
-            self.graded_dimension(d) for d in range(self.top_degree + 1)
-        )
+        return self._dimensions
 
     def basis_monomials(self, d: int) -> tuple[Poly, ...]:
         data = self._degree(d)
@@ -292,7 +351,7 @@ class ChowRing:
             return table
         data = self._degree(degree)
         nxt = self._degree(degree + 1)
-        comp = self._comp[flat_idx]
+        comp = self._comparability()[flat_idx]
         rows = []
         for pos in data.std_positions:
             if data.supp[pos] & ~comp:
@@ -329,10 +388,11 @@ class ChowRing:
             return self._ideal_polys
         ring = self.ring
         k = len(self.flats)
+        comp = self._comparability()
         gens = []
         for i in range(k):
             for j in range(i + 1, k):
-                if not (self._comp[i] >> j) & 1:
+                if not (comp[i] >> j) & 1:
                     exps = [0] * k
                     exps[i] = 1
                     exps[j] = 1
@@ -712,16 +772,32 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
 
 def reduced_char_coefficients_via_volumes(ring: ChowRing) -> tuple[int, ...]:
     """((-1)^j vol(alpha^{r-1-j} beta^j))_j, the coefficients of the reduced
-    characteristic polynomial from its leading term down to the constant."""
+    characteristic polynomial from its leading term down to the constant.
+
+    The volumes come from the degree map on the lattice of flats, in exact
+    ints and with no elimination (Adiprasito-Huh-Katz, section 6): with i
+    the lowest element, vol(alpha^{r-1}) = 1 and vol(alpha^p beta^q) is the
+    sum of vol_{M|F}(beta^{q-1}) over the rank-q flats F missing i.  Inside
+    M|F the same rule holds with i = min F, ending at 1 on rank-1 flats.
+    Only ring relations enter, never the Moebius function, so comparing
+    the result with the characteristic polynomial is a real check.
+    """
+    levels = ring._levels
     top = ring.top_degree
-    a = alpha_element(ring)
-    b = beta_element(ring)
-    out = []
-    for j in range(top + 1):
-        v = volume_map((a ** (top - j)) * (b**j))
-        if v.denominator != 1:
-            raise MatroidworksError(f"internal: non-integral volume {v}")
-        out.append(int(v) if j % 2 == 0 else -int(v))
+    # restricted[F] = vol_{M|F}(beta^{rk F - 1}), memoised rank by rank
+    restricted = dict.fromkeys(levels[1], 1)
+    for rho in range(2, top + 1):
+        below = levels[rho - 1]
+        for f in levels[rho]:
+            low = f & -f
+            restricted[f] = sum(
+                restricted[g] for g in below if g & f == g and not g & low
+            )
+    out = [1]
+    for q in range(1, top + 1):
+        # element 1 (bit 0) is the lowest, as in beta_element
+        v = sum(restricted[f] for f in levels[q] if not f & 1)
+        out.append(v if q % 2 == 0 else -v)
     return tuple(out)
 
 

@@ -1,5 +1,12 @@
 """Chow rings, volume polynomials, and the pairing checks.
 
+Two routes compute the same numbers.  Graded dimensions and the volumes
+behind the reduced characteristic polynomial are read off the lattice of
+flats (Feichtner-Yuzvinsky counts and the degree map); the elimination
+engine behind ChowElement computes them from standard monomials, and
+the oracle tests below compare the two on every catalog matroid and on
+uniform(r, n) with r <= 4 and n <= 8.
+
 Two independent anchors keep the graded engine honest.  The linear-form
 rank oracle pins dim A^1 as (number of proper nonempty flats) minus the
 rank of the relations alpha_1 - alpha_j, computed here with a fresh
@@ -14,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from matroidworks.catalog import (
+    catalog,
     fano,
     graphic_k4,
     moebius_kantor,
@@ -33,7 +41,12 @@ from matroidworks.chow import (
     truncation_volume_check,
     volume_map,
 )
-from matroidworks.errors import InputError, LoopPresent, WrongDegree
+from matroidworks.errors import (
+    InputError,
+    LoopPresent,
+    MatroidworksError,
+    WrongDegree,
+)
 from matroidworks.fields import rationals
 from matroidworks.groebner import normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
@@ -431,3 +444,42 @@ def test_rank_one_ring():
     assert ring.graded_dimensions() == (1,)
     assert volume_map(ring.one()) == 1
     assert reduced_char_coefficients_via_volumes(ring) == (1,)
+
+
+ORACLE_NAMES = ["k4", "fano", "non_fano", "moebius_kantor", "pappus", "vamos"] + [
+    f"uniform({r},{n})" for r in range(1, 5) for n in range(r, 9)
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_lattice_routes_match_elimination(name):
+    # FY dimensions against the engine's standard monomials, degree-map
+    # volumes against volume_map on ChowElement products
+    m = catalog(name)
+    ring = chow_ring(m)
+    engine = [len(ring._degree(d).std_positions) for d in range(m.rank + 1)]
+    assert list(ring.graded_dimensions()) + [0] == engine
+    assert [ring.graded_dimension(d) for d in range(m.rank + 1)] == engine
+    top = ring.top_degree
+    a, b = alpha_element(ring), beta_element(ring)
+    element_path = tuple(
+        (-1) ** j * volume_map(a ** (top - j) * b**j) for j in range(top + 1)
+    )
+    assert reduced_char_coefficients_via_volumes(ring) == element_path
+
+
+@pytest.mark.parametrize("name", ["vamos", "uniform(4,8)"])
+def test_plain_report_never_eliminates(name):
+    ring = chow_ring(catalog(name))
+    ring.graded_dimensions()
+    reduced_char_coefficients_via_volumes(ring)
+    assert ring._data == {}
+    assert ring._comp is None
+
+
+def test_elimination_checks_fy_dimensions():
+    ring = chow_ring(fano())
+    assert ring.graded_dimensions() == (1, 8, 1)
+    ring._dimensions = (1, 9, 1)
+    with pytest.raises(MatroidworksError):
+        ring._degree(1)

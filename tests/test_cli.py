@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, JSON reports, file handling."""
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from matroidworks.catalog import fano, graphic_k4
+from matroidworks.catalog import fano, graphic_k4, vamos
 from matroidworks.cli import main
 from matroidworks.matroid import (
     matroid_from_bases,
+    matroid_from_graph,
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
@@ -253,6 +256,45 @@ def test_chow_summary(capsys):
     assert d["omega_bar"] == [1, -5, 6]
     assert d["reduced_characteristic_descending"] == [1, -5, 6]
     assert d["volumes_match_reduced_characteristic"] is True
+
+
+def test_chow_uniform_5_7(capsys):
+    # read off the lattice of flats; by elimination this took about 30 s
+    rc, d, _ = run_json(capsys, ["chow", "--name", "uniform(5,7)"])
+    assert rc == 0
+    assert d["graded_dimensions"] == [1, 92, 337, 92, 1]
+    assert d["omega_bar"] == [1, -6, 15, -20, 15]
+    assert d["volumes_match_reduced_characteristic"] is True
+
+
+def _relabelings(n):
+    """Three fixed permutations; each moves the lowest element 1."""
+    return [
+        list(range(n, 0, -1)),
+        [(i + 3) % n + 1 for i in range(n)],
+        random.Random(n).sample(range(1, n + 1), n),
+    ]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [vamos(), matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))],
+    ids=["vamos", "k5"],
+)
+def test_chow_json_is_label_free(capsys, tmp_path, m):
+    # the degree map anchors on the lowest element, which each relabeling
+    # changes; the report must not depend on that choice
+    outputs = set()
+    for t, perm in enumerate([list(range(1, m.n + 1))] + _relabelings(m.n)):
+        relabeled = matroid_from_bases(
+            m.n, [[perm[e - 1] for e in b] for b in m.basis_lists()]
+        )
+        path = tmp_path / f"m{t}.json"
+        path.write_text(json.dumps(matroid_to_json_dict(relabeled)))
+        rc, out, _ = run(capsys, ["chow", "--file", str(path), "--format", "json"])
+        assert rc == 0
+        outputs.add(out)
+    assert len(outputs) == 1
 
 
 def test_chow_pairing_report(capsys):
