@@ -4,32 +4,31 @@ A(M) = Q[x_F | F a nonempty proper flat]/(I + J): I kills products of
 incomparable flats, J imposes the n-1 linear relations anchored at
 element 1.
 
-The plain report reads every number off the lattice of flats, with no
-elimination.  Graded dimensions count the Feichtner-Yuzvinsky basis
-(Invent. Math. 155, 2004) in one pass over the flats in rank order, and
-the volumes of alpha^{r-1-j} beta^j come from the degree map through
-restrictions M|F (Adiprasito-Huh-Katz, Ann. Math. 188, 2018, section 6).
+Every number is read off the lattice of flats; nothing is eliminated.
 
-Elements, volume_map and kahler_report run on the elimination engine.
-Because any monomial whose support is not a chain is a multiple of an
-I-generator, the quotient lives on chain monomials alone; each graded
-piece the engine needs is computed by exact Gauss-Jordan elimination of
-the J-multiples against the chain monomials of that degree, with columns
-in descending degrevlex order.  The surviving (standard) monomials
-coincide with the standard monomials of the reduced degrevlex Groebner
-basis of I + J, which the test suite re-checks against Buchberger on
-small inputs, and their count must equal the Feichtner-Yuzvinsky
-dimension, which the engine checks each time it builds a degree.
+* Graded dimensions count the Feichtner-Yuzvinsky basis (Invent. Math.
+  155, 2004) in one pass over the flats in rank order.
+* The degree map deg: A^{r-1} -> Q, normalized so every complete flag
+  monomial has degree 1, takes any alpha^p beta^q prod x_F^a over a chain
+  of flats apart on the intervals of the chain (Adiprasito-Huh-Katz, Ann.
+  Math. 188, 2018, section 6).
+* The basis of each graded piece is the degrevlex standard monomials of
+  I + J.  A chain monomial is standard exactly when its class is not a
+  combination of smaller monomials, and by Poincare duality its degrees
+  against the FY monomials of the complementary degree decide that.
+* Elements are coordinates over the standard monomials.  Degree-1
+  elements are reduced by the linear relations, and products are solved
+  against the same pairings.
 
-Volumes are normalized so every complete flag monomial integrates to 1;
 alpha and beta are the degree-1 classes whose mixed volumes give the
 reduced characteristic polynomial, and kahler_report packages Poincare
 duality, hard Lefschetz, and the Hodge-Riemann form for one (k, ell) at
-a time.
+a time, all from degrees of monomial products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -41,44 +40,14 @@ from .errors import (
     WrongDegree,
 )
 from .fields import rationals
-from .groebner import GroebnerBasis, Ideal, buchberger
+from .groebner import buchberger  # noqa: F401  (a boundary of mwbench/tracing.py)
 from .linalg import ExactMatrix
 from .matroid import Matroid, mask_elements, mask_of
-from .polynomials import DEGREVLEX, Poly, PolynomialRing
+from .polynomials import Poly, PolynomialRing
 
 _Q = rationals()
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class _DegreeData:
-    __slots__ = ("monomials", "index", "supp", "std_positions", "std_index", "nf")
-
-    def __init__(self, monomials, index, supp, std_positions, std_index, nf):
-        self.monomials = monomials
-        self.index = index
-        self.supp = supp
-        self.std_positions = std_positions
-        self.std_index = std_index
-        self.nf = nf
-
-
-def _insert_flat(mono: tuple, flat: int) -> tuple:
-    out = []
-    placed = False
-    for f, e in mono:
-        if f == flat:
-            out.append((f, e + 1))
-            placed = True
-        elif f > flat and not placed:
-            out.append((flat, 1))
-            out.append((f, e))
-            placed = True
-        else:
-            out.append((f, e))
-    if not placed:
-        out.append((flat, 1))
-    return tuple(out)
 
 
 def _fy_dimensions(levels) -> tuple[int, ...]:
@@ -111,6 +80,61 @@ def _fy_dimensions(levels) -> tuple[int, ...]:
     return tuple(total)
 
 
+def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
+    """a * x + b * y for sparse vectors, without zero entries."""
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        s = out.get(k, 0) + b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _reduce(rows: dict, vec: dict, combo: dict) -> tuple[dict, dict]:
+    """Clear every lead of vec that has a row in rows, applying each step
+    to the combination combo carried along with vec.
+
+    rows is a fraction-free row echelon form of sparse integer vectors:
+    lead -> (vec, combo), the lead being the vector's smallest index.
+    """
+    while vec:
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is None:
+            break
+        p, f = row[0][lead], vec[lead]
+        vec, combo = _axpy(p, vec, -f, row[0]), _axpy(p, combo, -f, row[1])
+        g = math.gcd(*vec.values(), *combo.values())
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+            combo = {k: v // g for k, v in combo.items()}
+    return vec, combo
+
+
+def _add_row(rows: dict, vec: dict, label: Optional[int] = None) -> bool:
+    """Keep vec in rows if it is independent of them.  With a label, each
+    row also keeps the combination of labelled vectors it equals."""
+    vec, combo = _reduce(rows, vec, {} if label is None else {label: 1})
+    if not vec:
+        return False
+    rows[min(vec)] = (vec, combo)
+    return True
+
+
+def _solve(rows: dict, vec: dict) -> dict[int, Fraction]:
+    """Coefficients, by label, of the labelled vectors that sum to vec."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    # the label None carries the multiple of vec itself
+    vec = {k: int(v * den) for k, v in vec.items() if v}
+    vec, combo = _reduce(rows, vec, {None: 1})
+    if vec:
+        raise MatroidworksError("internal: product outside the pairing span")
+    scale = combo.pop(None) * den
+    return {k: Fraction(-v, scale) for k, v in combo.items()}
+
+
 class ChowRing:
     """Graded data of A(M); built through :func:`chow_ring`."""
 
@@ -125,6 +149,7 @@ class ChowRing:
         self._levels = tuple(
             tuple(sorted(level, key=mask_elements)) for level in levels
         )
+        self._rank = {f: rho for rho, level in enumerate(self._levels) for f in level}
         flats = [f for level in self._levels[1 : m.rank] for f in level]
         self.flats = tuple(flats)
         self.flat_index = {f: i for i, f in enumerate(flats)}
@@ -137,145 +162,22 @@ class ChowRing:
         )
         self.top_degree = m.rank - 1
         self._dimensions = _fy_dimensions(self._levels)
+        self._volumes: dict[tuple[int, int, int], int] = {}
         self._comp: Optional[list[int]] = None
-        self._data: dict[int, _DegreeData] = {}
-        self._ideal_polys: Optional[tuple] = None
-        self._top_std_volume: Optional[Fraction] = None
-        self._flat_tables: dict[tuple[int, int], tuple] = {}
+        self._fy: dict[int, tuple] = {}
+        self._standard: dict[int, tuple] = {}
+        self._solvers: dict[int, dict] = {}
+        self._linear: Optional[tuple] = None
 
     def _comparability(self) -> list[int]:
         """Comparability bitmask over flat indices, per flat; built on first
-        use, since only the elimination engine and the ideal generators
-        need it."""
+        use, since the plain report never multiplies monomials."""
         if self._comp is None:
-            flats = self.flats
-            comp = []
-            for f in flats:
-                mask = 0
-                for j, g in enumerate(flats):
-                    if f & g == f or f & g == g:
-                        mask |= 1 << j
-                comp.append(mask)
-            self._comp = comp
+            self._comp = [
+                sum(1 << j for j, g in enumerate(self.flats) if f & g in (f, g))
+                for f in self.flats
+            ]
         return self._comp
-
-    # -- graded engine ----------------------------------------------------
-
-    def _degree(self, d: int) -> _DegreeData:
-        if d < 0 or d > self.matroid.rank:
-            raise WrongDegree(f"degree {d} outside 0..{self.matroid.rank}")
-        hit = self._data.get(d)
-        if hit is not None:
-            return hit
-        if d == 0:
-            empty = ()
-            data = _DegreeData((empty,), {empty: 0}, (0,), (0,), {0: 0}, {})
-            return self._store(0, data)
-        prev = self._degree(d - 1)
-        comp = self._comparability()
-        nflats = len(self.flats)
-        monos = []
-        supp_of = {}
-        for pos, mono in enumerate(prev.monomials):
-            supp = prev.supp[pos]
-            start = mono[-1][0] if mono else 0
-            for f in range(start, nflats):
-                if supp & ~comp[f]:
-                    continue
-                m2 = _insert_flat(mono, f)
-                if m2 not in supp_of:
-                    supp_of[m2] = supp | (1 << f)
-                    monos.append(m2)
-        keys = {}
-        for mono in monos:
-            exps = [0] * nflats
-            for f, e in mono:
-                exps[f] = e
-            keys[mono] = tuple(-x for x in reversed(exps))
-        monos.sort(key=lambda mo: keys[mo], reverse=True)  # descending degrevlex
-        index = {mo: i for i, mo in enumerate(monos)}
-        supp = tuple(supp_of[mo] for mo in monos)
-
-        elem_masks = self.flats
-        n = self.matroid.n
-        rows = []
-        for pos, mono in enumerate(prev.monomials):
-            psupp = prev.supp[pos]
-            compat = []
-            for f in range(nflats):
-                if not (psupp & ~comp[f]):
-                    compat.append((f, index[_insert_flat(mono, f)]))
-            if not compat:
-                continue
-            for j in range(2, n + 1):
-                jbit = 1 << (j - 1)
-                row = {}
-                for f, target in compat:
-                    c = (1 if elem_masks[f] & 1 else 0) - (
-                        1 if elem_masks[f] & jbit else 0
-                    )
-                    if c:
-                        row[target] = row.get(target, 0) + c
-                row = {k: Fraction(v) for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-
-        pivots: dict[int, dict] = {}
-        for row in rows:
-            r = row
-            while r:
-                lead = min(r)
-                pr = pivots.get(lead)
-                if pr is None:
-                    c = r[lead]
-                    if c != 1:
-                        r = {k: v / c for k, v in r.items()}
-                    pivots[lead] = r
-                    break
-                c = r[lead]
-                nr = dict(r)
-                for k, v in pr.items():
-                    nv = nr.get(k, _ZERO) - c * v
-                    if nv:
-                        nr[k] = nv
-                    else:
-                        nr.pop(k, None)
-                r = nr
-        for lead in sorted(pivots, reverse=True):
-            pr = pivots[lead]
-            extra = [k for k in pr if k != lead and k in pivots]
-            while extra:
-                for k in extra:
-                    c = pr.pop(k)
-                    for k2, v in pivots[k].items():
-                        if k2 == k:
-                            continue
-                        nv = pr.get(k2, _ZERO) - c * v
-                        if nv:
-                            pr[k2] = nv
-                        else:
-                            pr.pop(k2, None)
-                extra = [k for k in pr if k != lead and k in pivots]
-
-        std_positions = tuple(p for p in range(len(monos)) if p not in pivots)
-        std_index = {p: i for i, p in enumerate(std_positions)}
-        nf = {}
-        for lead, pr in pivots.items():
-            nf[lead] = tuple(
-                (std_index[k], -v) for k, v in sorted(pr.items()) if k != lead
-            )
-        data = _DegreeData(tuple(monos), index, supp, std_positions, std_index, nf)
-        return self._store(d, data)
-
-    def _store(self, d: int, data: _DegreeData) -> _DegreeData:
-        """Cache degree d after checking it against the FY dimension."""
-        if len(data.std_positions) != self.graded_dimension(d):
-            raise MatroidworksError(
-                f"internal: elimination finds {len(data.std_positions)} standard "
-                f"monomials in degree {d}, the FY basis {self.graded_dimension(d)}"
-            )
-        self._data[d] = data
-        return data
 
     def graded_dimension(self, d: int) -> int:
         if d < 0 or d > self.matroid.rank:
@@ -285,12 +187,183 @@ class ChowRing:
     def graded_dimensions(self) -> tuple[int, ...]:
         return self._dimensions
 
-    def basis_monomials(self, d: int) -> tuple[Poly, ...]:
-        data = self._degree(d)
+    # -- degree map -------------------------------------------------------
+
+    def _interval_volume(self, g: int, h: int, v: int) -> int:
+        """deg(alpha^u beta^v) on the minor M|h/g, with u + v its top degree.
+
+        With i the lowest element of h - g, deg(alpha^u) = 1 and deg(alpha^u
+        beta^v) is the sum of deg(beta^{v-1}) on [g, K] over the flats K of
+        rank rk g + v with g < K < h that miss i.  Memoised on (g, h, v).
+        """
+        if v == 0:
+            return 1
+        key = (g, h, v)
+        hit = self._volumes.get(key)
+        if hit is None:
+            rest = h & ~g
+            low = rest & -rest
+            hit = sum(
+                self._interval_volume(g, k, v - 1)
+                for k in self._levels[self._rank[g] + v]
+                if k & g == g and k & h == k and not k & low
+            )
+            self._volumes[key] = hit
+        return hit
+
+    def _degree(self, chain: tuple, p: int = 0, q: int = 0) -> int:
+        """deg(alpha^p beta^q prod x_F^a) for a chain ((flat index, a), ...)
+        of increasing flats, with total degree r - 1.
+
+        On the intervals [F_j, F_{j+1}] of empty < F_1 < ... < E, alpha goes
+        to the top interval and beta to the bottom one, and x_F^a is
+        x_F (-alpha_{M|F} - beta_{M/F})^{a-1}.  Each interval has a fixed
+        degree, so exactly one term of each binomial survives.
+        """
+        rank = self._rank
+        lower, v, out = 0, q, 1
+        for idx, a in chain:
+            f = self.flats[idx]
+            t = rank[f] - rank[lower] - 1 - v  # alpha exponent below f
+            if not 0 <= t < a:
+                return 0
+            out *= self._interval_volume(lower, f, v) * math.comb(a - 1, t)
+            if a % 2 == 0:
+                out = -out
+            lower, v = f, a - 1 - t
+        top = self._levels[-1][0]
+        if rank[top] - rank[lower] - 1 - v != p:
+            return 0
+        return out * self._interval_volume(lower, top, v)
+
+    def _product(self, m1: tuple, m2: tuple) -> Optional[tuple]:
+        """m1 * m2 for chain monomials, or None when it is not a chain."""
+        comp = self._comparability()
+        exps = dict(m1)
+        for f, e in m2:
+            for g in exps:
+                if not comp[f] >> g & 1:
+                    return None
+            exps[f] = exps.get(f, 0) + e
+        return tuple(sorted(exps.items()))
+
+    # -- bases --------------------------------------------------------------
+
+    def _fy_monomials(self, e: int) -> tuple:
+        """The FY basis of A^e as (chain, p, support).
+
+        x_{F_1}^{a_1} ... x_{F_k}^{a_k} over empty < F_1 < ... < F_k with
+        1 <= a_i <= rk F_i - rk F_{i-1} - 1.  A top flat E has x_E = -alpha
+        and is kept as alpha^p; the sign changes no span or kernel the
+        basis is used for.
+        """
+        hit = self._fy.get(e)
+        if hit is not None:
+            return hit
+        rank = self._rank
+        top = self.matroid.rank
         out = []
-        for p in data.std_positions:
+
+        def extend(chain, supp, low, left):
+            if not left:
+                out.append((chain, 0, supp))
+                return
+            if left <= top - rank[low] - 1:
+                out.append((chain, left, supp))
+            for idx, f in enumerate(self.flats):
+                gap = rank[f] - rank[low] - 1
+                if gap >= 1 and f & low == low:
+                    for a in range(1, min(gap, left) + 1):
+                        extend(chain + ((idx, a),), supp | 1 << idx, f, left - a)
+
+        extend((), 0, 0, e)
+        if len(out) != self.graded_dimension(e):
+            raise MatroidworksError(
+                f"internal: {len(out)} FY monomials in degree {e}, "
+                f"dimension {self.graded_dimension(e)}"
+            )
+        hit = self._fy[e] = tuple(out)
+        return hit
+
+    def _chain_monomials(self, d: int):
+        """Chain monomials of degree d, smallest first in degrevlex.
+
+        Degrevlex compares exponents from the last flat down, the larger
+        exponent making the smaller monomial, so the highest flat and its
+        exponent are chosen first, in descending order.
+        """
+        below = [
+            [j for j in range(i - 1, -1, -1) if self.flats[j] & f == self.flats[j]]
+            for i, f in enumerate(self.flats)
+        ]
+
+        def extend(chain, options, left):
+            if not left:
+                yield chain
+                return
+            for f in options:
+                for a in range(left, 0, -1):
+                    yield from extend(((f, a),) + chain, below[f], left - a)
+
+        return extend((), range(len(self.flats) - 1, -1, -1), d)
+
+    def _pairing(self, mono: tuple) -> dict[int, int]:
+        """deg(mono * t) over the FY monomials t of complementary degree,
+        as a sparse vector."""
+        comp = self._comparability()
+        allowed = -1
+        for f, _ in mono:
+            allowed &= comp[f]
+        fy = self._fy_monomials(self.top_degree - sum(e for _, e in mono))
+        out = {}
+        for s, (chain, p, supp) in enumerate(fy):
+            if not supp & ~allowed:
+                v = self._degree(self._product(mono, chain), p)
+                if v:
+                    out[s] = v
+        return out
+
+    def _basis(self, d: int) -> tuple:
+        """Standard monomials of degree d, largest first.
+
+        The chain monomials are scanned smallest first; one is standard
+        when its pairing is independent of those of the smaller standard
+        monomials.  The scan stops at the FY dimension.
+        """
+        hit = self._standard.get(d)
+        if hit is not None:
+            return hit
+        dim = self.graded_dimension(d)
+        rows: dict = {}
+        kept = []
+        if dim:
+            for mono in self._chain_monomials(d):
+                if _add_row(rows, self._pairing(mono)):
+                    kept.append(mono)
+                    if len(kept) == dim:
+                        break
+            else:
+                raise MatroidworksError(
+                    f"internal: {len(kept)} standard monomials in degree {d}, "
+                    f"FY dimension {dim}"
+                )
+        hit = self._standard[d] = tuple(reversed(kept))
+        return hit
+
+    def _solver(self, d: int) -> dict:
+        """The pairings of the degree-d basis, labelled by basis index."""
+        hit = self._solvers.get(d)
+        if hit is None:
+            hit = self._solvers[d] = {}
+            for i, mono in enumerate(self._basis(d)):
+                _add_row(hit, self._pairing(mono), i)
+        return hit
+
+    def basis_monomials(self, d: int) -> tuple[Poly, ...]:
+        out = []
+        for mono in self._basis(d):
             exps = [0] * len(self.flats)
-            for f, e in data.monomials[p]:
+            for f, e in mono:
                 exps[f] = e
             out.append(Poly(self.ring, {tuple(exps): _ONE}))
         return tuple(out)
@@ -317,6 +390,32 @@ class ChowRing:
             )
         return idx
 
+    def _linear_forms(self) -> tuple:
+        """Per flat, x_F in the degree-1 standard monomials, as sparse
+        (basis index, coefficient) pairs, from the reduced row echelon form
+        of the n-1 relations sum_{1 in F} x_F - sum_{j in F} x_F.  Columns
+        run in flat order, which is descending degrevlex, so the pivots are
+        the leading monomials and the free columns the standard ones."""
+        if self._linear is not None:
+            return self._linear
+        n = len(self.flats)
+        std = [mono[0][0] for mono in self._basis(1)]
+        rows = [
+            [(1 if f & 1 else 0) - (1 if f >> j & 1 else 0) for f in self.flats]
+            for j in range(1, self.matroid.n)
+        ]
+        rref, pivots = ExactMatrix.from_rows(_Q, rows).rref()
+        if sorted(set(range(n)) - set(pivots)) != std:
+            raise MatroidworksError(
+                "internal: the linear relations and the pairings disagree "
+                "on the degree-1 standard monomials"
+            )
+        forms = {f: ((s, _ONE),) for s, f in enumerate(std)}
+        for row, lead in zip(rref.rows, pivots):
+            forms[lead] = tuple((s, -row[f]) for s, f in enumerate(std) if row[f])
+        self._linear = tuple(forms[f] for f in range(n))
+        return self._linear
+
     def element_from_flat_coeffs(self, coeffs) -> "ChowElement":
         """Degree-1 element Sum c_F x_F; keys are flat masks or element
         iterables.  Keeps the raw flat coefficients for the Lefschetz test."""
@@ -324,151 +423,16 @@ class ChowRing:
         for key, val in dict(coeffs).items():
             idx = self._flat_key(key)
             by_idx[idx] = by_idx.get(idx, _ZERO) + Fraction(val)
-        data = self._degree(1)
-        out = [_ZERO] * len(data.std_positions)
+        forms = self._linear_forms()
+        out = [_ZERO] * self.graded_dimension(1)
         for idx, c in by_idx.items():
-            if not c:
-                continue
-            pos = data.index[((idx, 1),)]
-            red = data.nf.get(pos)
-            if red is None:
-                out[data.std_index[pos]] += c
-            else:
-                for s, v in red:
-                    out[s] += c * v
+            for s, v in forms[idx]:
+                out[s] += c * v
         flat_vec = tuple(by_idx.get(i, _ZERO) for i in range(len(self.flats)))
         return ChowElement(self, 1, tuple(out), flat_vec)
 
-    def _flat_table(self, degree: int, flat_idx: int) -> tuple:
-        """x_F times each standard monomial of A^degree, reduced in A^{degree+1}.
-
-        Entry i is the product with the i-th standard monomial as a sparse
-        vector; built once per (degree, flat) and cached on the ring.
-        """
-        key = (degree, flat_idx)
-        table = self._flat_tables.get(key)
-        if table is not None:
-            return table
-        data = self._degree(degree)
-        nxt = self._degree(degree + 1)
-        comp = self._comparability()[flat_idx]
-        rows = []
-        for pos in data.std_positions:
-            if data.supp[pos] & ~comp:
-                rows.append(())
-                continue
-            p2 = nxt.index[_insert_flat(data.monomials[pos], flat_idx)]
-            red = nxt.nf.get(p2)
-            rows.append(((nxt.std_index[p2], _ONE),) if red is None else red)
-        table = self._flat_tables[key] = tuple(rows)
-        return table
-
-    def multiply_by_flat(self, degree: int, vec: tuple, flat_idx: int) -> tuple:
-        """x_F * vec for vec in A^degree.
-
-        Elements here are sparse vectors: tuples of (standard-monomial
-        index, coefficient) pairs with nonzero coefficients.
-        """
-        table = self._flat_table(degree, flat_idx)
-        return _combine((c, table[i]) for i, c in vec)
-
-    def _multiply_by_monomial(self, degree: int, vec: tuple, mono: tuple) -> tuple:
-        """vec in A^degree times the chain monomial ((flat, exponent), ...)."""
-        for f, e in mono:
-            for _ in range(e):
-                vec = self.multiply_by_flat(degree, vec, f)
-                degree += 1
-        return vec
-
-    # -- presentation-level data ------------------------------------------
-
-    def ideal_generators(self) -> tuple[Poly, ...]:
-        """The I and J generators as honest polynomials (I first)."""
-        if self._ideal_polys is not None:
-            return self._ideal_polys
-        ring = self.ring
-        k = len(self.flats)
-        comp = self._comparability()
-        gens = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not (comp[i] >> j) & 1:
-                    exps = [0] * k
-                    exps[i] = 1
-                    exps[j] = 1
-                    gens.append(Poly(ring, {tuple(exps): _ONE}))
-        n = self.matroid.n
-        for j in range(2, n + 1):
-            jbit = 1 << (j - 1)
-            terms = {}
-            for idx, f in enumerate(self.flats):
-                c = (1 if f & 1 else 0) - (1 if f & jbit else 0)
-                if c:
-                    exps = [0] * k
-                    exps[idx] = 1
-                    terms[tuple(exps)] = Fraction(c)
-            if terms:
-                gens.append(Poly(ring, terms))
-        self._ideal_polys = tuple(gens)
-        return self._ideal_polys
-
-    def groebner_basis(self) -> GroebnerBasis:
-        """Reduced degrevlex basis of I + J by Buchberger; small rings only
-        in practice, the graded engine does not need it."""
-        return buchberger(Ideal(self.ring, self.ideal_generators()), DEGREVLEX)
-
-    # -- volume -----------------------------------------------------------
-
-    def canonical_flag(self) -> tuple[int, ...]:
-        """Flat indices of the first complete flag F_1 < ... < F_{r-1}."""
-        m = self.matroid
-        flag = []
-        current = None
-        for target in range(1, m.rank):
-            found = None
-            for idx, f in enumerate(self.flats):
-                if m.rank_of(f) != target:
-                    continue
-                if current is not None and current & ~f:
-                    continue
-                found = idx
-                break
-            if found is None:
-                raise MatroidworksError("internal: flag extension failed")
-            flag.append(found)
-            current = self.flats[found]
-        return tuple(flag)
-
-    def _top_volume_unit(self) -> Fraction:
-        """vol of the single top-degree standard monomial."""
-        if self._top_std_volume is not None:
-            return self._top_std_volume
-        top = self.top_degree
-        dim = self.graded_dimension(top)
-        if dim != 1:
-            raise MatroidworksError(
-                f"internal: top graded piece has dimension {dim}"
-            )
-        vec = self._multiply_by_monomial(
-            0, ((0, _ONE),), tuple((idx, 1) for idx in self.canonical_flag())
-        )
-        if not vec:
-            raise MatroidworksError("internal: canonical flag monomial vanished")
-        self._top_std_volume = _ONE / vec[0][1]
-        return self._top_std_volume
-
 
 _BUILD_TOKEN = object()
-
-
-def _combine(terms) -> tuple:
-    """Sum of c * vec over (c, vec) in terms, for sparse vectors: tuples of
-    (index, coefficient) pairs.  The result keeps no zero coefficients."""
-    acc: dict[int, Fraction] = {}
-    for c, vec in terms:
-        for s, v in vec:
-            acc[s] = acc.get(s, _ZERO) + c * v
-    return tuple((s, v) for s, v in acc.items() if v)
 
 
 def chow_ring(m: Matroid) -> ChowRing:
@@ -532,32 +496,33 @@ class ChowElement:
         )
 
     def _match(self, other):
-        if self.ring is not other.ring:
-            raise InputError("elements of different Chow rings")
+        _same_ring(self.ring, other)
         if self.degree != other.degree:
             raise WrongDegree("degrees differ")
 
     def __mul__(self, other: "ChowElement") -> "ChowElement":
-        if self.ring is not other.ring:
-            raise InputError("elements of different Chow rings")
+        """Coordinates solved from deg(self * other * t) over the FY
+        monomials t of the complementary degree."""
         ring = self.ring
-        data = ring._degree(other.degree)
+        _same_ring(ring, other)
         target = self.degree + other.degree
-        acc = [_ZERO] * ring.graded_dimension(target)
-        mine = tuple((i, c) for i, c in enumerate(self.coords) if c)
-        prod = _combine(
-            (
-                c,
-                ring._multiply_by_monomial(
-                    self.degree, mine, data.monomials[data.std_positions[i]]
-                ),
-            )
-            for i, c in enumerate(other.coords)
-            if c
-        )
-        for s, v in prod:
-            acc[s] = v
-        return ChowElement(ring, target, acc)
+        dim = ring.graded_dimension(target)
+        if not dim:
+            return ChowElement(ring, target, ())
+        theirs = [
+            (mono, y) for mono, y in zip(ring._basis(other.degree), other.coords) if y
+        ]
+        pairing: dict[int, Fraction] = {}
+        for mine, x in zip(ring._basis(self.degree), self.coords):
+            for mono, y in theirs if x else ():
+                mono = ring._product(mine, mono)
+                if mono is not None:
+                    for s, v in ring._pairing(mono).items():
+                        pairing[s] = pairing.get(s, 0) + x * y * v
+        coords = [_ZERO] * dim
+        for label, c in _solve(ring._solver(target), pairing).items():
+            coords[label] = c
+        return ChowElement(ring, target, coords)
 
     def __pow__(self, k: int) -> "ChowElement":
         if k < 0:
@@ -569,6 +534,11 @@ class ChowElement:
 
     def __repr__(self) -> str:
         return f"ChowElement(degree={self.degree}, coords={self.coords})"
+
+
+def _same_ring(ring: ChowRing, element: ChowElement) -> None:
+    if element.ring is not ring:
+        raise InputError("elements of different Chow rings")
 
 
 def alpha_element(ring: ChowRing) -> ChowElement:
@@ -589,14 +559,13 @@ def volume_map(eta: ChowElement) -> Fraction:
         raise WrongDegree(
             f"volume is defined in degree {ring.top_degree}, got {eta.degree}"
         )
-    if not eta.coords:
-        return _ZERO
-    return eta.coords[0] * ring._top_volume_unit()
+    return eta.coords[0] * ring._degree(ring._basis(ring.top_degree)[0])
 
 
 def is_lefschetz_element(ring: ChowRing, ell: ChowElement) -> bool:
     """Strict submodularity of the flat coefficients over incomparable
     pairs, with c = 0 on the empty flat and the full ground set."""
+    _same_ring(ring, ell)
     if ell.degree != 1:
         raise WrongDegree("Lefschetz candidates live in degree 1")
     if ell.flat_coeffs is None:
@@ -652,86 +621,88 @@ class PairingReport:
 def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     """Poincare pairing, Lefschetz form, and the Hodge-Riemann check.
 
-    Mat1 pairs A^k with A^{D-k}; Mat2 is the form vol(a * ell^{D-2k} * b)
-    on A^k; the Hodge-Riemann form is (-1)^k Mat2 restricted to the kernel
-    of multiplication by ell^{rk-2k} into A^{rk-k}, tested for positive
-    definiteness by Sylvester's criterion.
+    With b_i the standard monomials of A^k and c_j those of A^{D-k}, Mat1
+    is deg(b_i c_j) and Mat2 is deg(b_i ell^{D-2k} b_j).  The kernel of
+    ell^{r-2k}: A^k -> A^{r-k} is the kernel of deg(ell^{r-2k} b_i t_s)
+    over the FY monomials t_s of A^{k-1}: by Poincare duality that matrix
+    has the row space of the map itself.  The Hodge-Riemann form is
+    (-1)^k Mat2 restricted to the kernel, tested for positive definiteness
+    by Sylvester's criterion.
 
-    Products run on sparse vectors through the ring's flat tables.
-    Multiplication by ell is one sparse matrix per degree, built once, so
-    Mat2 is (ell^{D-2k} basis) times Mat1 transposed, and the restriction
-    to the kernel sums only over the nonzeros of each kernel vector.
+    Powers of ell = sum c_F x_F are expanded flat by flat, memoised on the
+    chain monomial they multiply.
     """
-    m = ring.matroid
     top = ring.top_degree
     if k < 0 or 2 * k > top:
         raise WrongDegree(f"need 0 <= k <= {top}/2, got {k}")
     if ell.degree != 1:
         raise WrongDegree("the Lefschetz element must have degree 1")
+    _same_ring(ring, ell)
     dim_k = ring.graded_dimension(k)
-    dim_co = ring.graded_dimension(top - k)
-    if dim_k != dim_co:
+    if dim_k != ring.graded_dimension(top - k):
         raise MatroidworksError(
             "internal: graded dimensions break Poincare symmetry"
         )
-    unit = ring._top_volume_unit() if dim_k else _ONE
-
-    data_k = ring._degree(k)
-    mat1_rows = []
-    for pos in data_k.std_positions:
-        mono = data_k.monomials[pos]
-        row = []
-        for j in range(dim_co):
-            v = ring._multiply_by_monomial(top - k, ((j, _ONE),), mono)
-            row.append(v[0][1] * unit if v else _ZERO)
-        mat1_rows.append(row)
-
-    data1 = ring._degree(1)
+    basis_k = ring._basis(k)
+    basis_co = ring._basis(top - k)
+    comp = ring._comparability()
+    # integral coefficients as ints keep the degrees below in int arithmetic
     ell_terms = [
-        (data1.monomials[data1.std_positions[s]][0][0], c)
-        for s, c in enumerate(ell.coords)
+        (mono[0][0], c.numerator if c.denominator == 1 else c)
+        for mono, c in zip(ring._basis(1), ell.coords)
         if c
     ]
+    memo: dict[tuple, Fraction] = {}
 
-    def times_ell(degree: int, vecs: list) -> list:
-        tables = [(c, ring._flat_table(degree, f)) for f, c in ell_terms]
-        ell_map = [
-            _combine((c, t[i]) for c, t in tables)
-            for i in range(ring.graded_dimension(degree))
-        ]
-        return [_combine((c, ell_map[i]) for i, c in v) for v in vecs]
+    def ell_degree(chain: tuple, p: int = 0):
+        """deg(ell^e alpha^p chain), e filling up the top degree."""
+        key = (chain, p)
+        hit = memo.get(key)
+        if hit is None:
+            if p + sum(a for _, a in chain) == top:
+                hit = ring._degree(chain, p)
+            else:
+                allowed = -1
+                for f, _ in chain:
+                    allowed &= comp[f]
+                hit = sum(
+                    c * ell_degree(ring._product(chain, ((f, 1),)), p)
+                    for f, c in ell_terms
+                    if allowed >> f & 1
+                )
+            memo[key] = hit
+        return hit
 
-    lifted = [((i, _ONE),) for i in range(dim_k)]
-    for d in range(k, top - k):
-        lifted = times_ell(d, lifted)  # ell^{D-2k} b_i, in A^{D-k}
-    # vol(w * b_j) = sum_t w_t vol(c_t * b_j), read off row j of Mat1
-    mat1_nonzero = [{t: v for t, v in enumerate(row) if v} for row in mat1_rows]
-    mat2_rows = [
-        [sum(c * nz[t] for t, c in w if t in nz) for nz in mat1_nonzero]
-        for w in lifted
+    def product_degree(m1: tuple, m2: tuple, p: int = 0):
+        mono = ring._product(m1, m2)
+        return 0 if mono is None else ell_degree(mono, p)
+
+    mat1_rows = [
+        [product_degree(b, c) for c in basis_co] for b in basis_k
     ]
+    mat2_rows = [[_ZERO] * dim_k for _ in range(dim_k)]
+    for i, b in enumerate(basis_k):
+        for j in range(i, dim_k):
+            mat2_rows[i][j] = mat2_rows[j][i] = product_degree(b, basis_k[j])
 
-    mat1 = ExactMatrix.from_rows(_Q, mat1_rows) if dim_k else ExactMatrix(_Q, ())
-    mat2 = ExactMatrix.from_rows(_Q, mat2_rows) if dim_k else ExactMatrix(_Q, ())
-    poincare = dim_k == 0 or mat1.rank() == dim_k
-    lefschetz_iso = dim_k == 0 or mat2.rank() == dim_k
+    mat1 = ExactMatrix.from_rows(_Q, mat1_rows)
+    mat2 = ExactMatrix.from_rows(_Q, mat2_rows)
+    poincare = mat1.rank() == dim_k
+    lefschetz_iso = mat2.rank() == dim_k
 
-    # primitive part: kernel of ell^{rk - 2k} out of A^k
-    # A^{rk-k} is zero above the top degree (k = 0); skip eliminating it
-    target_dim = 0 if m.rank - k > top else ring.graded_dimension(m.rank - k)
+    # primitive part: kernel of ell^{r - 2k} out of A^k; for k = 0 the
+    # target A^r is zero and every vector is primitive
     kernel_vectors: list[tuple]
-    if dim_k == 0:
-        kernel_vectors = []
-    elif target_dim == 0:
+    if k == 0:
         kernel_vectors = [
             tuple(_ONE if j == i else _ZERO for j in range(dim_k))
             for i in range(dim_k)
         ]
     else:
-        map_rows = [[_ZERO] * dim_k for _ in range(target_dim)]
-        for t, col in enumerate(times_ell(top - k, lifted)):
-            for s, v in col:
-                map_rows[s][t] = v
+        map_rows = [
+            [product_degree(b, chain, p) for b in basis_k]
+            for chain, p, _ in ring._fy_monomials(k - 1)
+        ]
         kernel_vectors = [
             tuple(v) for v in ExactMatrix.from_rows(_Q, map_rows).kernel_basis()
         ]
@@ -739,24 +710,25 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         ChowElement(ring, k, vec) for vec in kernel_vectors
     )
 
+    # sign * K^T Mat2 K over the nonzeros of each kernel vector, with each
+    # vector scaled to integers and every entry divided back once
     sign = -1 if k % 2 else 1
-    kd = len(kernel_vectors)
-    kernel_nonzero = [
-        tuple((a, v) for a, v in enumerate(vec) if v) for vec in kernel_vectors
-    ]
-    # sign * K^T Mat2 K over the nonzeros of each kernel vector
-    mat2_k = [
-        [sum(v * row[b] for b, v in kv) for row in mat2_rows]
-        for kv in kernel_nonzero
-    ]
-    restricted_rows = [
-        [sign * sum(u * mk[a] for a, u in kv) for mk in mat2_k]
-        for kv in kernel_nonzero
-    ]
-    restricted = (
-        ExactMatrix.from_rows(_Q, restricted_rows) if kd else ExactMatrix(_Q, ())
+    scaled = []
+    for vec in kernel_vectors:
+        den = math.lcm(*(v.denominator for v in vec))
+        scaled.append((den, [(a, (v * den).numerator) for a, v in enumerate(vec) if v]))
+    mat2_k = [[sum(v * row[b] for b, v in kv) for row in mat2_rows] for _, kv in scaled]
+    restricted = ExactMatrix.from_rows(
+        _Q,
+        [
+            [
+                Fraction(sign * sum(u * mk[a] for a, u in kv), du * dt)
+                for mk, (dt, _) in zip(mat2_k, scaled)
+            ]
+            for du, kv in scaled
+        ],
     )
-    definite = kd == 0 or restricted.is_positive_definite()
+    definite = not kernel or restricted.is_positive_definite()
     return PairingReport(
         degree=k,
         lefschetz=ell,
@@ -774,31 +746,14 @@ def reduced_char_coefficients_via_volumes(ring: ChowRing) -> tuple[int, ...]:
     """((-1)^j vol(alpha^{r-1-j} beta^j))_j, the coefficients of the reduced
     characteristic polynomial from its leading term down to the constant.
 
-    The volumes come from the degree map on the lattice of flats, in exact
-    ints and with no elimination (Adiprasito-Huh-Katz, section 6): with i
-    the lowest element, vol(alpha^{r-1}) = 1 and vol(alpha^p beta^q) is the
-    sum of vol_{M|F}(beta^{q-1}) over the rank-q flats F missing i.  Inside
-    M|F the same rule holds with i = min F, ending at 1 on rank-1 flats.
-    Only ring relations enter, never the Moebius function, so comparing
-    the result with the characteristic polynomial is a real check.
+    The volumes come from the degree map on the lattice of flats.  Only
+    ring relations enter, never the Moebius function, so comparing the
+    result with the characteristic polynomial is a real check.
     """
-    levels = ring._levels
     top = ring.top_degree
-    # restricted[F] = vol_{M|F}(beta^{rk F - 1}), memoised rank by rank
-    restricted = dict.fromkeys(levels[1], 1)
-    for rho in range(2, top + 1):
-        below = levels[rho - 1]
-        for f in levels[rho]:
-            low = f & -f
-            restricted[f] = sum(
-                restricted[g] for g in below if g & f == g and not g & low
-            )
-    out = [1]
-    for q in range(1, top + 1):
-        # element 1 (bit 0) is the lowest, as in beta_element
-        v = sum(restricted[f] for f in levels[q] if not f & 1)
-        out.append(v if q % 2 == 0 else -v)
-    return tuple(out)
+    return tuple(
+        (-1) ** q * ring._degree((), top - q, q) for q in range(top + 1)
+    )
 
 
 def truncation_volume_check(m: Matroid) -> bool:

@@ -23,7 +23,7 @@ from .chow import (
     kahler_report,
     reduced_char_coefficients_via_volumes,
 )
-from .corpus import ACTIONS, load_corpus, run_corpus
+from .corpus import load_corpus, run_corpus
 from .errors import (
     Budget,
     BudgetError,
@@ -121,10 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", choices=("alpha", "beta"), default="alpha")
     p.set_defaults(handler=cmd_chow)
 
-    p = subs.add_parser("corpus", help="batch actions over a corpus file")
+    p = subs.add_parser(
+        "corpus", help="realizability in characteristic 0 over a corpus file"
+    )
     p.add_argument("corpus_file", metavar="FILE")
     p.add_argument("--filter", default=None, help="simple or rank=k")
-    p.add_argument("--action", default="realizable-char0", choices=ACTIONS)
     _add_common(p, BUDGET_GB)
     p.set_defaults(handler=cmd_corpus)
     return parser
@@ -364,7 +365,7 @@ def cmd_chow(args) -> int:
 
 def cmd_corpus(args) -> int:
     entries = load_corpus(args.corpus_file)
-    summary = run_corpus(entries, action=args.action, filter_spec=args.filter)
+    summary = run_corpus(entries, filter_spec=args.filter)
     report = summary.to_json_dict()
     lines = []
     for r in summary.results:

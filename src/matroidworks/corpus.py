@@ -1,10 +1,11 @@
-"""File-based matroid corpus: strict JSON ingestion and batch actions.
+"""File-based matroid corpus: strict JSON ingestion and batch runs.
 
 A corpus file carries `{"entries": [{"id": ..., "matroid": {...}, "meta":
-{...}}, ...]}` with identifiers unique across the file.  Actions run one
-entry at a time; individual failures are recorded on the entry and never
-abort the run, and entries whose computation exhausts a budget are counted
-as undecided rather than as refusals.
+{...}}, ...]}` with identifiers unique across the file.  A run decides
+realizability in characteristic 0 one entry at a time; individual
+failures are recorded on the entry and never abort the run, and entries
+whose computation exhausts a budget are counted as undecided rather than
+as refusals.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import Callable, Optional
 from .errors import InputError, MatroidworksError
 from .matroid import Matroid, matroid_from_json_dict
 from .realization import UNDECIDED, is_realizable
-
-ACTIONS = ("realizable-char0",)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class EntryResult:
 
 @dataclass(frozen=True)
 class CorpusSummary:
-    action: str
     filter_spec: Optional[str]
     results: tuple
     total: int
@@ -49,7 +47,7 @@ class CorpusSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "action": self.action,
+            "action": "realizable-char0",
             "filter": self.filter_spec,
             "total": self.total,
             "selected": self.selected,
@@ -137,18 +135,13 @@ def parse_filter(spec: Optional[str]) -> Optional[Callable[[Matroid], bool]]:
     raise InputError(f"unknown filter {spec!r}; expected 'simple' or 'rank=k'")
 
 
-def run_corpus(
-    entries,
-    action: str = "realizable-char0",
-    filter_spec: Optional[str] = None,
-) -> CorpusSummary:
-    """Run one action over the entries, in input order.
+def run_corpus(entries, filter_spec: Optional[str] = None) -> CorpusSummary:
+    """Decide realizability in characteristic 0 for the entries, in input
+    order.
 
-    Only "realizable-char0" exists today.  Each entry is independent, so
-    failures stay local: a bad entry is reported and the run moves on.
+    Each entry is independent, so failures stay local: a bad entry is
+    reported and the run moves on.
     """
-    if action not in ACTIONS:
-        raise InputError(f"unknown action {action!r}; expected one of {ACTIONS}")
     pred = parse_filter(filter_spec)
     results = []
     n_true = n_false = n_und = n_err = n_sel = 0
@@ -177,7 +170,6 @@ def run_corpus(
             n_false += 1
             results.append(EntryResult(entry.identifier, "false"))
     return CorpusSummary(
-        action=action,
         filter_spec=filter_spec,
         results=tuple(results),
         total=len(entries),

@@ -1,24 +1,27 @@
 """Chow rings, volume polynomials, and the pairing checks.
 
-Two routes compute the same numbers.  Graded dimensions and the volumes
-behind the reduced characteristic polynomial are read off the lattice of
-flats (Feichtner-Yuzvinsky counts and the degree map); the elimination
-engine behind ChowElement computes them from standard monomials, and
-the oracle tests below compare the two on every catalog matroid and on
-uniform(r, n) with r <= 4 and n <= 8.
+The library reads everything off the lattice of flats: FY dimensions,
+the degree map, standard monomials found by Poincare duality, and the
+Kaehler report from degrees of monomial products.  The elimination
+engine in ``chow_elimination`` is the oracle: the tests below compare
+the two, monomial by monomial, on every catalog matroid and on
+uniform(r, n) with r <= 4 and n <= 8 (standard monomials per degree,
+the volume of every top-degree chain monomial, products of basis
+elements, and the full Kaehler report), and on uniform(5, 6) at k = 2.
 
-Two independent anchors keep the graded engine honest.  The linear-form
-rank oracle pins dim A^1 as (number of proper nonempty flats) minus the
-rank of the relations alpha_1 - alpha_j, computed here with a fresh
-matrix.  The Buchberger cross-check recomputes standard monomials from a
-reduced degrevlex basis of the defining ideal and they must coincide with
-the engine's basis monomials degree by degree.
+Two independent anchors keep both honest.  The linear-form rank oracle
+pins dim A^1 as (number of proper nonempty flats) minus the rank of the
+relations alpha_1 - alpha_j, computed here with a fresh matrix.  The
+Buchberger cross-check recomputes standard monomials and normal forms
+from a reduced degrevlex basis of the defining ideal, and they must
+coincide with the library's basis and products degree by degree.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from chow_elimination import EliminationRing, ideal_generators
 
 from matroidworks.catalog import (
     catalog,
@@ -48,7 +51,7 @@ from matroidworks.errors import (
     WrongDegree,
 )
 from matroidworks.fields import rationals
-from matroidworks.groebner import normal_form, s_polynomial
+from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
 from matroidworks.linalg import ExactMatrix
 from matroidworks.matroid import Matroid, matroid_from_bases
@@ -121,10 +124,15 @@ def test_degree_one_dimension_linear_rank_oracle():
             assert nv - rel_rank == 8
 
 
+def groebner_basis(ring):
+    """Reduced degrevlex basis of I + J by Buchberger."""
+    return buchberger(Ideal(ring.ring, ideal_generators(ring)), DEGREVLEX)
+
+
 def test_standard_monomials_match_buchberger():
     for m in (uniform(2, 3), uniform(2, 4), uniform(3, 4), graphic_k4()):
         ring = chow_ring(m)
-        gb = ring.groebner_basis()
+        gb = groebner_basis(ring)
         # certify the basis before trusting its leading terms
         for f, g in itertools.combinations(gb.elements, 2):
             s = s_polynomial(f, g, gb.order)
@@ -148,12 +156,19 @@ def test_standard_monomials_match_buchberger():
             assert engine == std
 
 
+def basis_element(ring, d, i):
+    dim = ring.graded_dimension(d)
+    return ChowElement(ring, d, [int(j == i) for j in range(dim)])
+
+
 def test_flat_tables_match_buchberger_normal_forms():
     # x_F times each standard monomial, reduced by the Groebner basis and
-    # written in the engine's standard monomials, is the table's product
+    # written in the standard monomials, is both the oracle's flat-table
+    # product and the library's ChowElement product
     for m in (uniform(3, 4), graphic_k4()):
         ring = chow_ring(m)
-        gb = ring.groebner_basis()
+        oracle = EliminationRing(ring)
+        gb = groebner_basis(ring)
         for d in range(ring.top_degree + 1):
             here = ring.basis_monomials(d)
             there = {
@@ -162,11 +177,14 @@ def test_flat_tables_match_buchberger_normal_forms():
             }
             for f in range(len(ring.flats)):
                 x_f = ring.ring.var(f)
+                x_elem = ring.element_from_flat_coeffs({ring.flats[f]: 1})
                 for i, mono in enumerate(here):
                     nf = normal_form(x_f * mono, gb.elements, gb.order)
                     expect = sorted((there[e], c) for e, c in nf.terms.items())
-                    got = sorted(ring.multiply_by_flat(d, ((i, Fraction(1)),), f))
+                    got = sorted(oracle.multiply_by_flat(d, ((i, Fraction(1)),), f))
                     assert got == expect
+                    prod = x_elem * basis_element(ring, d, i)
+                    assert sorted((s, c) for s, c in enumerate(prod.coords) if c) == expect
 
 
 def test_k4_volumes_frozen():
@@ -413,11 +431,11 @@ def test_kahler_report_matches_dense_products():
 
 
 def test_kahler_report_degree_zero_skips_degree_rank():
-    # A^r is zero above the top degree r - 1, so k = 0 needs no elimination there
+    # A^r is zero above the top degree r - 1, so k = 0 needs no basis there
     for m in (graphic_k4(), pappus(), uniform(4, 6)):
         ring = chow_ring(m)
         rep = kahler_report(ring, 0, alpha_element(ring))
-        assert m.rank not in ring._data
+        assert m.rank not in ring._standard
         assert [e.coords for e in rep.kernel] == [(Fraction(1),)]
 
 
@@ -453,33 +471,143 @@ ORACLE_NAMES = ["k4", "fano", "non_fano", "moebius_kantor", "pappus", "vamos"] +
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_lattice_routes_match_elimination(name):
-    # FY dimensions against the engine's standard monomials, degree-map
-    # volumes against volume_map on ChowElement products
+    # FY dimensions and the standard monomials of every degree, the degree
+    # map on every top-degree chain monomial, and the reduced characteristic
+    # coefficients against the oracle's volumes of alpha^{D-j} beta^j
     m = catalog(name)
     ring = chow_ring(m)
-    engine = [len(ring._degree(d).std_positions) for d in range(m.rank + 1)]
-    assert list(ring.graded_dimensions()) + [0] == engine
-    assert [ring.graded_dimension(d) for d in range(m.rank + 1)] == engine
+    oracle = EliminationRing(ring)
+    engine = [oracle.degree(d).standard for d in range(m.rank + 1)]
+    assert list(ring.graded_dimensions()) + [0] == [len(s) for s in engine]
+    assert [ring.graded_dimension(d) for d in range(m.rank + 1)] == [
+        len(s) for s in engine
+    ]
+    for d, std in enumerate(engine):
+        assert ring._basis(d) == std
     top = ring.top_degree
+    for mono in oracle.degree(top).monomials:
+        assert ring._degree(mono) == oracle.volume(mono)
+    alpha = oracle.element({f: 1 for f, flat in enumerate(ring.flats) if flat & 1})
+    beta = oracle.element({f: 1 for f, flat in enumerate(ring.flats) if not flat & 1})
+    volumes = []
+    for j in range(top + 1):
+        vec, d = ((0, Fraction(1)),), 0
+        for factor in [alpha] * (top - j) + [beta] * j:
+            vec, d = oracle.product(d, vec, 1, factor), d + 1
+        volumes.append((-1) ** j * (vec[0][1] * oracle.unit() if vec else 0))
+    assert reduced_char_coefficients_via_volumes(ring) == tuple(volumes)
+    # and against volume_map on the library's own ChowElement products
     a, b = alpha_element(ring), beta_element(ring)
-    element_path = tuple(
+    assert tuple(volumes) == tuple(
         (-1) ** j * volume_map(a ** (top - j) * b**j) for j in range(top + 1)
     )
-    assert reduced_char_coefficients_via_volumes(ring) == element_path
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_products_match_elimination(name):
+    # every product of two basis elements whose degrees add up to at most
+    # the top degree, against the oracle's flat tables (products commute,
+    # see test_element_algebra, so each pair is taken once)
+    ring = chow_ring(catalog(name))
+    oracle = EliminationRing(ring)
+    top = ring.top_degree
+    for d1 in range(1, top + 1):
+        for d2 in range(d1, top + 1 - d1):
+            for i in range(ring.graded_dimension(d1)):
+                for j in range(i if d1 == d2 else 0, ring.graded_dimension(d2)):
+                    got = basis_element(ring, d1, i) * basis_element(ring, d2, j)
+                    want = oracle.product(d1, ((i, Fraction(1)),), d2, ((j, Fraction(1)),))
+                    assert {s: c for s, c in enumerate(got.coords) if c} == dict(want)
+
+
+def assert_report_matches_oracle(ring, oracle, k, ell):
+    rep = kahler_report(ring, k, ell)
+    mat1, mat2, kernel, restricted, verdicts = oracle.kahler(
+        k, tuple((s, c) for s, c in enumerate(ell.coords) if c)
+    )
+    assert [list(r) for r in rep.mat1.rows] == mat1
+    assert [list(r) for r in rep.mat2.rows] == mat2
+    assert [e.coords for e in rep.kernel] == kernel
+    assert [list(r) for r in rep.restricted_form.rows] == restricted
+    assert (
+        rep.poincare_nondegenerate,
+        rep.hard_lefschetz_iso,
+        rep.hodge_riemann_definite,
+    ) == verdicts
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_kahler_report_matches_elimination(name):
+    ring = chow_ring(catalog(name))
+    oracle = EliminationRing(ring)
+    for ell in (alpha_element(ring), beta_element(ring), strict_ell(ring)):
+        # the degree-1 coordinates, reduced by the relations, are the oracle's
+        flat = {f: c for f, c in enumerate(ell.flat_coeffs) if c}
+        assert tuple((s, c) for s, c in enumerate(ell.coords) if c) == tuple(
+            sorted(oracle.element(flat))
+        )
+        for k in range(min(1, ring.top_degree // 2) + 1):
+            assert_report_matches_oracle(ring, oracle, k, ell)
+
+
+def test_degree_two_report_matches_elimination():
+    # k = 2 is the first degree whose primitive kernel pairs against an FY
+    # monomial with a power of alpha.  The last ell lives on flats of rank
+    # at least 2, so it has no alpha term in the FY basis and alpha's row
+    # is independent of the rows ell itself produces.
+    ring = chow_ring(uniform(5, 6))
+    oracle = EliminationRing(ring)
+    upper = ring.element_from_flat_coeffs(
+        {
+            f: i * 7 % 11 + 1
+            for i, f in enumerate(ring.flats)
+            if ring.matroid.rank_of(f) >= 2
+        }
+    )
+    for ell in (alpha_element(ring), beta_element(ring), strict_ell(ring), upper):
+        assert_report_matches_oracle(ring, oracle, 2, ell)
+
+
+def test_fractional_ell_matches_elimination():
+    # coordinates with denominators take the Fraction path through the
+    # pairings; the report must still be the oracle's
+    ring = chow_ring(uniform(4, 6))
+    oracle = EliminationRing(ring)
+    ell = strict_ell(ring).scale(Fraction(1, 3)) + alpha_element(ring).scale(Fraction(1, 2))
+    for k in (0, 1):
+        assert_report_matches_oracle(ring, oracle, k, ell)
 
 
 @pytest.mark.parametrize("name", ["vamos", "uniform(4,8)"])
 def test_plain_report_never_eliminates(name):
+    # the plain report builds no basis and multiplies no monomials
     ring = chow_ring(catalog(name))
     ring.graded_dimensions()
     reduced_char_coefficients_via_volumes(ring)
-    assert ring._data == {}
+    assert ring._standard == {}
     assert ring._comp is None
 
 
-def test_elimination_checks_fy_dimensions():
+def test_basis_checks_fy_dimensions():
+    # a wrong FY dimension, or pairings that cannot reach it, is an error
     ring = chow_ring(fano())
     assert ring.graded_dimensions() == (1, 8, 1)
     ring._dimensions = (1, 9, 1)
     with pytest.raises(MatroidworksError):
-        ring._degree(1)
+        ring.basis_monomials(1)
+    ring = chow_ring(fano())
+    ring._fy[1] = ring._fy_monomials(1)[:-1]
+    with pytest.raises(MatroidworksError):
+        ring.basis_monomials(1)
+
+
+def test_foreign_ell_is_rejected():
+    ring = chow_ring(fano())
+    assert kahler_report(ring, 1, beta_element(ring)).hodge_riemann_definite
+    for other in (graphic_k4(), non_fano(), fano()):
+        foreign = chow_ring(other)
+        for ell in (beta_element(foreign), strict_ell(foreign)):
+            with pytest.raises(InputError):
+                kahler_report(ring, 1, ell)
+            with pytest.raises(InputError):
+                is_lefschetz_element(ring, ell)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON reports, file handling."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -267,6 +268,24 @@ def test_chow_uniform_5_7(capsys):
     assert d["volumes_match_reduced_characteristic"] is True
 
 
+def test_chow_kahler_uniform_5_7(capsys):
+    # from pairings in about 0.3 s; by elimination this took about 10 s.
+    # The digest is of the report the elimination engine printed.
+    rc, out, _ = run(
+        capsys,
+        ["chow", "--name", "uniform(5,7)", "--k", "1", "--ell", "beta", "--format", "json"],
+    )
+    assert rc == 0
+    d = json.loads(out)
+    assert d["kernel_dimension"] == 91
+    assert d["poincare_nondegenerate"] is True
+    assert d["hard_lefschetz_iso"] is False
+    assert d["hodge_riemann_definite"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "50c3118c1eaf7c9516911826c67dd4dc80ecafde98c76d4b0af64bf3e43c2fc2"
+    )
+
+
 def _relabelings(n):
     """Three fixed permutations; each moves the lowest element 1."""
     return [
@@ -342,6 +361,15 @@ def test_corpus_text_and_filter(capsys):
     assert d["selected"] == 5
     statuses = {r["id"]: r["status"] for r in d["results"]}
     assert statuses["vamos"] == "filtered"
+
+
+def test_corpus_takes_no_action_flag(capsys):
+    # realizability in characteristic 0 is the only run, so there is no
+    # --action to choose it
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", CORPUS, "--action", "realizable-char0"])
+    assert exc.value.code == 2
+    assert "--action" in capsys.readouterr().err
 
 
 def test_corpus_missing_file(capsys):

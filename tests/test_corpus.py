@@ -42,7 +42,7 @@ def test_bundled_corpus_loads():
 
 def test_bundled_corpus_realizability():
     entries = load_corpus(str(DATA))
-    summary = run_corpus(entries, "realizable-char0")
+    summary = run_corpus(entries)
     assert summary.total == 6
     assert summary.selected == 6
     assert summary.count_true == 4
@@ -116,11 +116,6 @@ def test_empty_corpus():
     assert summary.total == 0
     assert summary.selected == 0
     assert summary.results == ()
-
-
-def test_unknown_action():
-    with pytest.raises(InputError):
-        run_corpus((), action="tutte")
 
 
 def test_undecided_counts_as_undecided():
