@@ -16,9 +16,10 @@ Every number is read off the lattice of flats; nothing is eliminated.
   I + J.  A chain monomial is standard exactly when its class is not a
   combination of smaller monomials, and by Poincare duality its degrees
   against the FY monomials of the complementary degree decide that.
-* Elements are coordinates over the standard monomials.  Degree-1
-  elements are reduced by the linear relations, and products are solved
-  against the same pairings.
+* Elements are coordinates over the standard monomials.  A degree-1
+  element sum c_F x_F and a product of elements are both reduced through
+  the pairings: their degrees against the FY monomials of the
+  complementary degree are solved against those of the basis.
 
 alpha and beta are the degree-1 classes whose mixed volumes give the
 reduced characteristic polynomial, and kahler_report packages Poincare
@@ -43,7 +44,6 @@ from .fields import rationals
 from .groebner import buchberger  # noqa: F401  (a boundary of mwbench/tracing.py)
 from .linalg import ExactMatrix
 from .matroid import Matroid, mask_elements, mask_of
-from .polynomials import Poly, PolynomialRing
 
 _Q = rationals()
 _ZERO = Fraction(0)
@@ -130,7 +130,7 @@ def _solve(rows: dict, vec: dict) -> dict[int, Fraction]:
     vec = {k: int(v * den) for k, v in vec.items() if v}
     vec, combo = _reduce(rows, vec, {None: 1})
     if vec:
-        raise MatroidworksError("internal: product outside the pairing span")
+        raise MatroidworksError("internal: element outside the pairing span")
     scale = combo.pop(None) * den
     return {k: Fraction(-v, scale) for k, v in combo.items()}
 
@@ -142,24 +142,11 @@ class ChowRing:
         if _token is not _BUILD_TOKEN:
             raise InputError("use chow_ring() to construct Chow rings")
         self.matroid = m
-        levels = [[] for _ in range(m.rank + 1)]
-        for f in m.flats():
-            levels[m.rank_of(f)].append(f)
         # every flat, empty and ground set included, bucketed by rank
-        self._levels = tuple(
-            tuple(sorted(level, key=mask_elements)) for level in levels
-        )
+        self._levels = tuple(m.flats(k).masks for k in range(m.rank + 1))
         self._rank = {f: rho for rho, level in enumerate(self._levels) for f in level}
-        flats = [f for level in self._levels[1 : m.rank] for f in level]
-        self.flats = tuple(flats)
-        self.flat_index = {f: i for i, f in enumerate(flats)}
-        self.ring = PolynomialRing(
-            _Q,
-            tuple(
-                "x_{" + ",".join(map(str, mask_elements(f))) + "}"
-                for f in flats
-            ),
-        )
+        self.flats = tuple(f for level in self._levels[1 : m.rank] for f in level)
+        self.flat_index = {f: i for i, f in enumerate(self.flats)}
         self.top_degree = m.rank - 1
         self._dimensions = _fy_dimensions(self._levels)
         self._volumes: dict[tuple[int, int, int], int] = {}
@@ -167,7 +154,6 @@ class ChowRing:
         self._fy: dict[int, tuple] = {}
         self._standard: dict[int, tuple] = {}
         self._solvers: dict[int, dict] = {}
-        self._linear: Optional[tuple] = None
 
     def _comparability(self) -> list[int]:
         """Comparability bitmask over flat indices, per flat; built on first
@@ -359,14 +345,12 @@ class ChowRing:
                 _add_row(hit, self._pairing(mono), i)
         return hit
 
-    def basis_monomials(self, d: int) -> tuple[Poly, ...]:
-        out = []
-        for mono in self._basis(d):
-            exps = [0] * len(self.flats)
-            for f, e in mono:
-                exps[f] = e
-            out.append(Poly(self.ring, {tuple(exps): _ONE}))
-        return tuple(out)
+    def _element(self, d: int, pairing: dict, flat_coeffs=None) -> "ChowElement":
+        """The element of A^d whose pairing vector is pairing."""
+        coords = [_ZERO] * self.graded_dimension(d)
+        for label, c in _solve(self._solver(d), pairing).items():
+            coords[label] = c
+        return ChowElement(self, d, coords, flat_coeffs)
 
     # -- elements ---------------------------------------------------------
 
@@ -390,46 +374,20 @@ class ChowRing:
             )
         return idx
 
-    def _linear_forms(self) -> tuple:
-        """Per flat, x_F in the degree-1 standard monomials, as sparse
-        (basis index, coefficient) pairs, from the reduced row echelon form
-        of the n-1 relations sum_{1 in F} x_F - sum_{j in F} x_F.  Columns
-        run in flat order, which is descending degrevlex, so the pivots are
-        the leading monomials and the free columns the standard ones."""
-        if self._linear is not None:
-            return self._linear
-        n = len(self.flats)
-        std = [mono[0][0] for mono in self._basis(1)]
-        rows = [
-            [(1 if f & 1 else 0) - (1 if f >> j & 1 else 0) for f in self.flats]
-            for j in range(1, self.matroid.n)
-        ]
-        rref, pivots = ExactMatrix.from_rows(_Q, rows).rref()
-        if sorted(set(range(n)) - set(pivots)) != std:
-            raise MatroidworksError(
-                "internal: the linear relations and the pairings disagree "
-                "on the degree-1 standard monomials"
-            )
-        forms = {f: ((s, _ONE),) for s, f in enumerate(std)}
-        for row, lead in zip(rref.rows, pivots):
-            forms[lead] = tuple((s, -row[f]) for s, f in enumerate(std) if row[f])
-        self._linear = tuple(forms[f] for f in range(n))
-        return self._linear
-
     def element_from_flat_coeffs(self, coeffs) -> "ChowElement":
         """Degree-1 element Sum c_F x_F; keys are flat masks or element
-        iterables.  Keeps the raw flat coefficients for the Lefschetz test."""
+        iterables.  Coordinates are solved from the summed pairings of the
+        x_F.  Keeps the raw flat coefficients for the Lefschetz test."""
         by_idx: dict[int, Fraction] = {}
         for key, val in dict(coeffs).items():
             idx = self._flat_key(key)
             by_idx[idx] = by_idx.get(idx, _ZERO) + Fraction(val)
-        forms = self._linear_forms()
-        out = [_ZERO] * self.graded_dimension(1)
+        pairing: dict[int, Fraction] = {}
         for idx, c in by_idx.items():
-            for s, v in forms[idx]:
-                out[s] += c * v
+            for s, v in self._pairing(((idx, 1),)).items():
+                pairing[s] = pairing.get(s, 0) + c * v
         flat_vec = tuple(by_idx.get(i, _ZERO) for i in range(len(self.flats)))
-        return ChowElement(self, 1, tuple(out), flat_vec)
+        return self._element(1, pairing, flat_vec)
 
 
 _BUILD_TOKEN = object()
@@ -506,8 +464,7 @@ class ChowElement:
         ring = self.ring
         _same_ring(ring, other)
         target = self.degree + other.degree
-        dim = ring.graded_dimension(target)
-        if not dim:
+        if not ring.graded_dimension(target):
             return ChowElement(ring, target, ())
         theirs = [
             (mono, y) for mono, y in zip(ring._basis(other.degree), other.coords) if y
@@ -519,10 +476,7 @@ class ChowElement:
                 if mono is not None:
                     for s, v in ring._pairing(mono).items():
                         pairing[s] = pairing.get(s, 0) + x * y * v
-        coords = [_ZERO] * dim
-        for label, c in _solve(ring._solver(target), pairing).items():
-            coords[label] = c
-        return ChowElement(ring, target, coords)
+        return ring._element(target, pairing)
 
     def __pow__(self, k: int) -> "ChowElement":
         if k < 0:

@@ -90,11 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("realization", help="realization space over one characteristic")
     _add_source(p)
     _add_common(p, BUDGET_GB)
-    p.add_argument("--char", type=int, default=0, metavar="C")
+    p.add_argument(
+        "--char", type=int, metavar="C", help="characteristic (default 0)"
+    )
     p.add_argument(
         "--profile",
         action="store_true",
-        help="verdict table over char 0 and primes up to 13",
+        help="verdict table over char 0 and primes up to 13; takes no --char",
     )
     p.add_argument(
         "--no-simplify",
@@ -117,8 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chow", help="Chow ring volumes and Kaehler report")
     _add_source(p)
     _add_common(p)
-    p.add_argument("--k", type=int, default=None, metavar="K")
-    p.add_argument("--ell", choices=("alpha", "beta"), default="alpha")
+    p.add_argument("--k", type=int, metavar="K", help="Kaehler report in degree K")
+    p.add_argument(
+        "--ell",
+        choices=("alpha", "beta"),
+        help="Lefschetz element (default alpha); needs --k",
+    )
     p.set_defaults(handler=cmd_chow)
 
     p = subs.add_parser(
@@ -234,6 +240,8 @@ def _space_lines(space) -> list[str]:
 
 
 def cmd_realization(args) -> int:
+    if args.profile and args.char is not None:
+        raise InputError("--profile covers every characteristic; drop --char")
     m = _load_matroid(args)
     simplify = not args.no_simplify
     if args.profile:
@@ -257,7 +265,8 @@ def cmd_realization(args) -> int:
             )
         _emit(args, report, lines)
         return 3 if any_undecided else 0
-    space = realization_space(m, args.char, simplify=simplify)
+    char = 0 if args.char is None else args.char
+    space = realization_space(m, char, simplify=simplify)
     _emit(args, space.to_json_dict(), _space_lines(space))
     return 3 if space.verdict is SpaceVerdict.UNDECIDED else 0
 
@@ -324,6 +333,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_chow(args) -> int:
+    if args.k is None and args.ell is not None:
+        raise InputError("--ell needs --k")
     m = _load_matroid(args)
     ring = chow_ring(m)
     if args.k is None:
@@ -345,11 +356,12 @@ def cmd_chow(args) -> int:
         ]
         _emit(args, report, lines)
         return 0
-    ell = alpha_element(ring) if args.ell == "alpha" else beta_element(ring)
+    name = args.ell or "alpha"
+    ell = alpha_element(ring) if name == "alpha" else beta_element(ring)
     rep = kahler_report(ring, args.k, ell)
-    report = {"ell": args.ell} | rep.to_json_dict()
+    report = {"ell": name} | rep.to_json_dict()
     lines = [
-        f"k: {args.k}  ell: {args.ell}",
+        f"k: {args.k}  ell: {name}",
         f"dim A^{args.k}: {ring.graded_dimension(args.k)}",
         f"Poincare pairing nondegenerate: {rep.poincare_nondegenerate}",
         f"hard Lefschetz isomorphism: {rep.hard_lefschetz_iso}",

@@ -8,8 +8,9 @@ which is what the ring-mismatch checks key on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import InputError, NonPrimeCharacteristic
 
@@ -56,9 +57,6 @@ class Field:
 
     def render(self, a) -> str:
         raise NotImplementedError
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
 
 class RationalField(Field):
@@ -182,12 +180,12 @@ def _poly_mod_mul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
 class ExtensionField(Field):
     """F_{p^k} as F_p[t] / (modulus); elements are coeff tuples, low degree first.
 
-    When no modulus is supplied the lexicographically smallest monic
-    irreducible of degree k is selected (smallest encoded value
-    sum(c_i * p^i) over the non-leading coefficients).
+    The modulus is the lexicographically smallest monic irreducible of
+    degree k (smallest encoded value sum(c_i * p^i) over the non-leading
+    coefficients).
     """
 
-    def __init__(self, p: int, k: int, modulus: Optional[tuple] = None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if k < 2:
@@ -195,15 +193,7 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.characteristic = p
-        if modulus is None:
-            modulus = _smallest_irreducible(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k:
-                raise InputError(f"modulus needs exactly {k} non-leading coefficients")
-            if not _is_irreducible(modulus, p):
-                raise InputError("supplied modulus is reducible")
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
 
@@ -341,8 +331,8 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def extension_field(p: int, k: int, modulus: Optional[tuple] = None) -> ExtensionField:
-    return ExtensionField(p, k, modulus)
+def extension_field(p: int, k: int) -> ExtensionField:
+    return ExtensionField(p, k)
 
 
 def field_of_characteristic(char: int) -> Field:
@@ -356,17 +346,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k, or InputError if q is not a prime power."""
     if not isinstance(q, int) or q < 2:
         raise InputError(f"{q!r} is not a prime power")
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise InputError(f"{q} is not a prime power")
-            return p, k
-    raise InputError(f"{q} is not a prime power")
+    # the smallest divisor p >= 2 is prime; q itself when none is <= sqrt(q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise InputError(f"{q} is not a prime power")
+    return p, k
 
 
 def field_of_order(q: int) -> Field:

@@ -3,7 +3,7 @@
 ExactMatrix does Gaussian elimination with exact field arithmetic (no
 floating point anywhere).  Over Q, rank and positive definiteness clear
 each row's denominators and use fraction-free (Bareiss) elimination over
-the integers; reduced row echelon forms and kernels stay in the field.
+the integers; kernels stay in the field.
 MinorOracle computes determinants of matrices of polynomials by cofactor
 expansion, memoized on (rows, columns) so the many overlapping minors of
 one parameterized matrix share work.
@@ -51,7 +51,7 @@ class ExactMatrix:
         )
 
     def _echelon(self) -> tuple[list[list], list[int]]:
-        """Row-reduce a working copy; returns (rref rows, pivot columns)."""
+        """Row-reduce a working copy; returns (reduced rows, pivot columns)."""
         f = self.field
         work = [list(r) for r in self.rows]
         pivots: list[int] = []
@@ -98,10 +98,6 @@ class ExactMatrix:
             prev = work[rank][col]
             rank += 1
         return rank
-
-    def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        work, pivots = self._echelon()
-        return ExactMatrix(self.field, tuple(tuple(r) for r in work)), tuple(pivots)
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the right kernel, one vector per free column."""

@@ -98,7 +98,7 @@ class Matroid:
     operations returning matroids build fresh objects.
     """
 
-    __slots__ = ("n", "bases", "rank", "_indep", "_flats", "_circuits")
+    __slots__ = ("n", "bases", "rank", "_indep", "_flats", "_flat_levels", "_circuits")
 
     def __init__(self, n: int, basis_masks: tuple[int, ...], _validated: bool = False):
         if not _validated:
@@ -108,6 +108,7 @@ class Matroid:
         self.rank = basis_masks[0].bit_count() if basis_masks else 0
         self._indep: Optional[frozenset[int]] = None
         self._flats = None
+        self._flat_levels = None
         self._circuits = None
 
     # -- equality ----------------------------------------------------------
@@ -188,12 +189,17 @@ class Matroid:
     # -- derived families --------------------------------------------------
 
     def flats(self, rank: Optional[int] = None) -> SubsetFamily:
-        """All flats, bottom-up by rank; optionally only those of one rank."""
+        """All flats; optionally only those of one rank.
+
+        The closure search adds one element at a time, so its k-th level
+        holds exactly the flats of rank k.
+        """
         if self._flats is None:
-            levels = [self.closure(0)]
-            all_flats = {levels[0]}
-            current = {levels[0]}
+            current = {self.closure(0)}
+            all_flats = set(current)
+            levels = []
             while current:
+                levels.append(SubsetFamily(self.n, current))
                 nxt = set()
                 for f in current:
                     rest = self.ground_mask & ~f
@@ -206,9 +212,12 @@ class Matroid:
                 all_flats |= nxt
                 current = nxt
             self._flats = SubsetFamily(self.n, all_flats)
+            self._flat_levels = tuple(levels)
         if rank is None:
             return self._flats
-        return SubsetFamily(self.n, [f for f in self._flats if self.rank_of(f) == rank])
+        if 0 <= rank < len(self._flat_levels):
+            return self._flat_levels[rank]
+        return SubsetFamily(self.n, ())
 
     def circuits(self) -> SubsetFamily:
         """Minimal dependent sets, found by a popcount-ordered scan."""

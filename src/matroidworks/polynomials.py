@@ -148,9 +148,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_value(self):
         """The coefficient of the constant term (field zero if absent)."""
         return self.terms.get(self.ring._zero_exp, self.ring.field.zero)
@@ -349,42 +346,36 @@ def poly_sort_key(p: Poly, order: MonomialOrder = DEGREVLEX):
     return tuple((order.key(e), repr(p.terms[e])) for e in items)
 
 
-def divmod_poly(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> tuple[Poly, Poly]:
-    """Multivariate division of f by a single nonzero g: f = q*g + r with no
-    term of r divisible by lm(g)."""
+def exact_divide(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Optional[Poly]:
+    """f / g when the division is exact, else None.
+
+    The leading terms of the working dividend strictly decrease, so a term
+    that lm(g) does not divide is never cancelled: the division stops there.
+    For the same reason each quotient term is written once.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     if ring != g.ring:
-        raise RingMismatch("divmod over different rings")
+        raise RingMismatch("division over different rings")
     field = ring.field
     glm = g.leading_exp(order)
     glc = g.terms[glm]
     q: dict = {}
-    r: dict = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=order.key)
-        c = work.pop(e)
-        if all(a >= b for a, b in zip(e, glm)):
-            ratio = tuple(a - b for a, b in zip(e, glm))
-            coeff = field.div(c, glc)
-            q[ratio] = field.add(q.get(ratio, field.zero), coeff)
-            for ge, gc in g.terms.items():
-                if ge == glm:
-                    continue
-                ne = tuple(a + b for a, b in zip(ratio, ge))
-                nv = field.sub(work.get(ne, field.zero), field.mul(coeff, gc))
-                if field.is_zero(nv):
-                    work.pop(ne, None)
-                else:
-                    work[ne] = nv
-        else:
-            r[e] = c
-    return Poly(ring, {e: c for e, c in q.items() if not field.is_zero(c)}), Poly(ring, r)
-
-
-def exact_divide(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Optional[Poly]:
-    """f / g when the division is exact, else None."""
-    q, r = divmod_poly(f, g, order)
-    return q if r.is_zero() else None
+        if not all(a >= b for a, b in zip(e, glm)):
+            return None
+        ratio = tuple(a - b for a, b in zip(e, glm))
+        coeff = q[ratio] = field.div(work.pop(e), glc)
+        for ge, gc in g.terms.items():
+            if ge == glm:
+                continue
+            ne = tuple(a + b for a, b in zip(ratio, ge))
+            nv = field.sub(work.get(ne, field.zero), field.mul(coeff, gc))
+            if field.is_zero(nv):
+                work.pop(ne, None)
+            else:
+                work[ne] = nv
+    return Poly(ring, q)

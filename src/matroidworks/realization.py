@@ -86,16 +86,6 @@ class _Undecided:
 UNDECIDED = _Undecided()
 
 
-@dataclass(frozen=True)
-class VariableSlot:
-    """One symbolic matrix entry: row i, grid column j, ambient column."""
-
-    row: int
-    grid_col: int
-    column: int
-    name: str
-
-
 def _matrix_skeleton(m: Matroid, basis_mask: int):
     """Entry plan for the parameterized matrix: 'zero' / 'one' / 'var' grid.
 
@@ -162,8 +152,8 @@ def build_parameterized_matrix(
     The basis columns carry the identity; every other entry is fixed to 0
     (non-basis exchange), fixed to 1 (mu/nu normalization), or a fresh
     variable named x_{i,j} for row i and grid column j, numbered row-major.
-    Returns (ring, grid, slots) where grid is an r x n tuple of rows of
-    polynomials and slots records each variable's matrix position.
+    Returns (ring, grid, names) where grid is an r x n tuple of rows of
+    polynomials and names are the variable names in ring order.
     """
     if field is None:
         field = field_of_characteristic(0)
@@ -171,17 +161,13 @@ def build_parameterized_matrix(
     if basis_mask not in m.bases:
         raise InputError(f"{sorted(basis)} is not a basis")
     b_elems, c_elems, plan = _matrix_skeleton(m, basis_mask)
-    slots = []
+    names, slot_at = [], {}
     for i in range(len(b_elems)):
         for j in range(len(c_elems)):
             if plan[i][j] == "var":
-                slots.append(
-                    VariableSlot(
-                        i + 1, j + 1, c_elems[j], f"x_{{{i + 1},{j + 1}}}"
-                    )
-                )
-    ring = PolynomialRing(field, tuple(s.name for s in slots))
-    slot_at = {(s.row, s.grid_col): idx for idx, s in enumerate(slots)}
+                slot_at[i, j] = len(names)
+                names.append(f"x_{{{i + 1},{j + 1}}}")
+    ring = PolynomialRing(field, names)
     r, n = m.rank, m.n
     col_of = {}
     for j, e in enumerate(c_elems):
@@ -202,9 +188,9 @@ def build_parameterized_matrix(
                 elif tag == "one":
                     row.append(ring.one())
                 else:
-                    row.append(ring.var(slot_at[(i + 1, pos + 1)]))
+                    row.append(ring.var(slot_at[i, pos]))
         grid.append(tuple(row))
-    return ring, tuple(grid), tuple(slots)
+    return ring, tuple(grid), ring.names
 
 
 @dataclass(frozen=True)
@@ -214,7 +200,6 @@ class RealizationSpace:
     basis: tuple[int, ...]
     ring: PolynomialRing
     matrix: tuple  # r x n rows of Poly, pre-substitution
-    slots: tuple  # VariableSlot per ring variable
     ideal_generators: tuple  # Poly, post-simplification
     inequations: tuple  # Poly, reduced semigroup generators
     substitutions: tuple  # Substitution log from simplification
@@ -317,7 +302,7 @@ def realization_space(
         )
     else:
         basis = tuple(sorted(basis))
-    ring, grid, slots = build_parameterized_matrix(m, basis, field)
+    ring, grid, _ = build_parameterized_matrix(m, basis, field)
     oracle = MinorOracle(grid) if m.rank > 0 else None
     order = DEGREVLEX
     gens = []
@@ -367,7 +352,6 @@ def realization_space(
         basis=tuple(basis),
         ring=ring,
         matrix=grid,
-        slots=slots,
         ideal_generators=tuple(gens),
         inequations=tuple(ineqs),
         substitutions=tuple(subs),

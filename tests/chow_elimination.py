@@ -10,15 +10,17 @@ vectors through one table per (degree, flat), and volumes are normalized
 by the first complete flag.
 
 Nothing here reads the degree map, the FY basis or the pairings of
-``matroidworks.chow``; only the flats and the polynomial ring of a
-``ChowRing`` are used.
+``matroidworks.chow``; only the flats of a ``ChowRing`` are used, and the
+oracle builds its own polynomial ring Q[x_F] over them (``flat_ring``).
 """
 
 import math
 from fractions import Fraction
 
+from matroidworks.fields import rationals
 from matroidworks.linalg import ExactMatrix
-from matroidworks.polynomials import Poly
+from matroidworks.matroid import mask_elements
+from matroidworks.polynomials import Poly, PolynomialRing
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,8 +42,18 @@ def _combine(terms):
     return tuple((s, v) for s, v in acc.items() if v)
 
 
+def flat_ring(ring):
+    """Q[x_F] over the nonempty proper flats of a ChowRing, in its flat
+    order, with x_F named by the elements of F, e.g. x_{1,2}."""
+    return PolynomialRing(
+        rationals(),
+        ["x_{" + ",".join(map(str, mask_elements(f))) + "}" for f in ring.flats],
+    )
+
+
 def ideal_generators(ring):
     """The I and J generators as honest polynomials (I first)."""
+    poly_ring = flat_ring(ring)
     k = len(ring.flats)
     gens = []
     for i in range(k):
@@ -50,7 +62,7 @@ def ideal_generators(ring):
             if f & g not in (f, g):
                 exps = [0] * k
                 exps[i] = exps[j] = 1
-                gens.append(Poly(ring.ring, {tuple(exps): _ONE}))
+                gens.append(Poly(poly_ring, {tuple(exps): _ONE}))
     for j in range(2, ring.matroid.n + 1):
         jbit = 1 << (j - 1)
         terms = {}
@@ -61,7 +73,7 @@ def ideal_generators(ring):
                 exps[idx] = 1
                 terms[tuple(exps)] = Fraction(c)
         if terms:
-            gens.append(Poly(ring.ring, terms))
+            gens.append(Poly(poly_ring, terms))
     return tuple(gens)
 
 
@@ -250,7 +262,7 @@ class EliminationRing:
         verdicts of the pairing checks for ell, a sparse vector in A^1."""
         top = self.ring.top_degree
         m = self.ring.matroid
-        field = self.ring.ring.field
+        field = rationals()
         basis_k = self.degree(k).standard
         dim_k = len(basis_k)
         dim_co = len(self.degree(top - k).standard)

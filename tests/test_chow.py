@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from chow_elimination import EliminationRing, ideal_generators
+from chow_elimination import EliminationRing, flat_ring, ideal_generators
 
 from matroidworks.catalog import (
     catalog,
@@ -55,7 +55,7 @@ from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
 from matroidworks.linalg import ExactMatrix
 from matroidworks.matroid import Matroid, matroid_from_bases
-from matroidworks.polynomials import DEGREVLEX
+from matroidworks.polynomials import DEGREVLEX, Poly
 
 
 def strict_ell(ring):
@@ -69,7 +69,7 @@ def strict_ell(ring):
 def test_flat_counts_and_names():
     ring = chow_ring(graphic_k4())
     assert len(ring.flats) == 13
-    names = ring.ring.names
+    names = flat_ring(ring).names
     assert names[:6] == ("x_{1}", "x_{2}", "x_{3}", "x_{4}", "x_{5}", "x_{6}")
     assert len(chow_ring(vamos()).flats) == 77
 
@@ -126,7 +126,15 @@ def test_degree_one_dimension_linear_rank_oracle():
 
 def groebner_basis(ring):
     """Reduced degrevlex basis of I + J by Buchberger."""
-    return buchberger(Ideal(ring.ring, ideal_generators(ring)), DEGREVLEX)
+    return buchberger(Ideal(flat_ring(ring), ideal_generators(ring)), DEGREVLEX)
+
+
+def exponents(ring, mono):
+    """The exponent tuple over all flats of a chain monomial ((f, a), ...)."""
+    exps = [0] * len(ring.flats)
+    for f, a in mono:
+        exps[f] = a
+    return tuple(exps)
 
 
 def test_standard_monomials_match_buchberger():
@@ -150,9 +158,7 @@ def test_standard_monomials_match_buchberger():
                     all(e >= l for e, l in zip(exps, lm)) for lm in lms
                 ):
                     std.add(exps)
-            engine = {
-                p.leading_exp(DEGREVLEX) for p in ring.basis_monomials(d)
-            }
+            engine = {exponents(ring, mono) for mono in ring._basis(d)}
             assert engine == std
 
 
@@ -169,14 +175,17 @@ def test_flat_tables_match_buchberger_normal_forms():
         ring = chow_ring(m)
         oracle = EliminationRing(ring)
         gb = groebner_basis(ring)
+        poly_ring = flat_ring(ring)
         for d in range(ring.top_degree + 1):
-            here = ring.basis_monomials(d)
+            here = [
+                Poly(poly_ring, {exponents(ring, mono): Fraction(1)})
+                for mono in ring._basis(d)
+            ]
             there = {
-                p.leading_exp(DEGREVLEX): s
-                for s, p in enumerate(ring.basis_monomials(d + 1))
+                exponents(ring, mono): s for s, mono in enumerate(ring._basis(d + 1))
             }
             for f in range(len(ring.flats)):
-                x_f = ring.ring.var(f)
+                x_f = poly_ring.var(f)
                 x_elem = ring.element_from_flat_coeffs({ring.flats[f]: 1})
                 for i, mono in enumerate(here):
                     nf = normal_form(x_f * mono, gb.elements, gb.order)
@@ -520,6 +529,45 @@ def test_products_match_elimination(name):
                     assert {s: c for s, c in enumerate(got.coords) if c} == dict(want)
 
 
+def sparse(element):
+    return tuple((s, c) for s, c in enumerate(element.coords) if c)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_degree_one_forms_match_elimination(name):
+    # degree-1 coordinates solved through the pairings are the oracle's
+    # normal forms by the linear relations: every x_F, then alpha, beta
+    # and the strict ell
+    ring = chow_ring(catalog(name))
+    oracle = EliminationRing(ring)
+    for f, flat in enumerate(ring.flats):
+        x_f = ring.element_from_flat_coeffs({flat: 1})
+        assert sparse(x_f) == tuple(sorted(oracle.element({f: Fraction(1)})))
+    for ell in (alpha_element(ring), beta_element(ring), strict_ell(ring)):
+        flat = {f: c for f, c in enumerate(ell.flat_coeffs) if c}
+        assert sparse(ell) == tuple(sorted(oracle.element(flat)))
+
+
+def test_element_from_flat_coeffs_in_low_rank():
+    # rank 1: A^1 is zero and there is no nonempty proper flat
+    ring = chow_ring(uniform(1, 3))
+    zero = ring.element_from_flat_coeffs({})
+    assert zero.coords == () and zero.flat_coeffs == ()
+    assert alpha_element(ring) == beta_element(ring) == zero
+    with pytest.raises(InputError):
+        ring.element_from_flat_coeffs({(1,): 1})
+    # rank 2: A^1 is the line of the top degree, every x_F has degree 1
+    ring = chow_ring(uniform(2, 4))
+    for flat in ring.flats:
+        assert volume_map(ring.element_from_flat_coeffs({flat: 1})) == 1
+    ell = ring.element_from_flat_coeffs({(1,): Fraction(1, 2), 2: -2, (3,): 0})
+    assert ell.coords == (Fraction(-3, 2),)
+    assert ell.flat_coeffs == (Fraction(1, 2), -2, 0, 0)
+    assert alpha_element(ring).coords == (1,)
+    assert beta_element(ring).coords == (3,)
+    assert ring.element_from_flat_coeffs({}).is_zero()
+
+
 def assert_report_matches_oracle(ring, oracle, k, ell):
     rep = kahler_report(ring, k, ell)
     mat1, mat2, kernel, restricted, verdicts = oracle.kahler(
@@ -541,11 +589,6 @@ def test_kahler_report_matches_elimination(name):
     ring = chow_ring(catalog(name))
     oracle = EliminationRing(ring)
     for ell in (alpha_element(ring), beta_element(ring), strict_ell(ring)):
-        # the degree-1 coordinates, reduced by the relations, are the oracle's
-        flat = {f: c for f, c in enumerate(ell.flat_coeffs) if c}
-        assert tuple((s, c) for s, c in enumerate(ell.coords) if c) == tuple(
-            sorted(oracle.element(flat))
-        )
         for k in range(min(1, ring.top_degree // 2) + 1):
             assert_report_matches_oracle(ring, oracle, k, ell)
 
@@ -594,11 +637,11 @@ def test_basis_checks_fy_dimensions():
     assert ring.graded_dimensions() == (1, 8, 1)
     ring._dimensions = (1, 9, 1)
     with pytest.raises(MatroidworksError):
-        ring.basis_monomials(1)
+        ring._basis(1)
     ring = chow_ring(fano())
     ring._fy[1] = ring._fy_monomials(1)[:-1]
     with pytest.raises(MatroidworksError):
-        ring.basis_monomials(1)
+        ring._basis(1)
 
 
 def test_foreign_ell_is_rejected():

@@ -124,6 +124,21 @@ def test_realization_profile(capsys):
     }
 
 
+def test_realization_profile_takes_no_char(capsys):
+    # --profile sweeps every characteristic; a --char beside it would be
+    # ignored, so it is bad input
+    for char in ("5", "0"):
+        rc, out, err = run(
+            capsys, ["realization", "--name", "fano", "--profile", "--char", char]
+        )
+        assert (rc, out) == (2, "")
+        assert "--char" in err
+    # without --char, the default is characteristic 0
+    assert run(capsys, ["realization", "--name", "fano"]) == run(
+        capsys, ["realization", "--name", "fano", "--char", "0"]
+    )
+
+
 def test_realization_no_simplify(capsys):
     rc, d, _ = run_json(
         capsys, ["realization", "--name", "fano", "--char", "2", "--no-simplify"]
@@ -326,6 +341,18 @@ def test_chow_pairing_report(capsys):
     assert d["poincare_nondegenerate"] is True
     assert d["hard_lefschetz_iso"] is True
     assert d["hodge_riemann_definite"] is True
+
+
+def test_chow_ell_needs_k(capsys):
+    # without --k the plain report would ignore --ell, so it is bad input
+    for ell in ("alpha", "beta"):
+        rc, out, err = run(capsys, ["chow", "--name", "k4", "--ell", ell])
+        assert (rc, out) == (2, "")
+        assert "--ell" in err
+    # with --k, the default is alpha
+    for fmt in ("text", "json"):
+        argv = ["chow", "--name", "k4", "--k", "1", "--format", fmt]
+        assert run(capsys, argv) == run(capsys, argv + ["--ell", "alpha"])
 
 
 def test_no_seed_flag(capsys):

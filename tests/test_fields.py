@@ -88,15 +88,13 @@ def test_prime_field_rejections():
 
 
 def test_extension_field_modulus_checks():
-    # moduli are the k non-leading coefficients, constant first, monic implied:
-    # x^2 + 1 is irreducible over F_3 but has the root 2 over F_5
-    f9 = extension_field(3, 2, (1, 0))
-    assert f9.order == 9
-    with pytest.raises(InputError):
-        extension_field(5, 2, (1, 0))
-    with pytest.raises(InputError):
-        extension_field(2, 2, (1, 1, 1))
+    # moduli are the k non-leading coefficients, constant first, monic implied;
+    # the smallest irreducible is chosen: x^2 + 1 over F_3, but over F_5,
+    # where x^2 + 1 has the root 2, x^2 + 2
+    assert extension_field(3, 2).modulus == (1, 0)
+    assert extension_field(5, 2).modulus == (2, 0)
     auto = extension_field(2, 3)
+    assert auto.modulus == (1, 1, 0)
     assert auto.order == 8
 
 
@@ -113,7 +111,10 @@ def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(13) == (13, 1)
     assert factor_prime_power(9) == (3, 2)
-    for bad in (1, 6, 10, 12):
+    assert factor_prime_power(3**12) == (3, 12)
+    # a large prime is found by trial division up to its square root
+    assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    for bad in (1, 6, 10, 12, 2 * 1_000_000_007):
         with pytest.raises(InputError):
             factor_prime_power(bad)
 

@@ -93,19 +93,6 @@ def test_rank_drops_on_dependent_rows():
     assert m.det() == 0
 
 
-def test_rref_idempotent_and_pivots():
-    rng = random.Random(555)
-    for _ in range(20):
-        m = ExactMatrix.from_rows(Q, random_matrix(rng, 3, 5))
-        r, pivots = m.rref()
-        r2, pivots2 = r.rref()
-        assert r == r2 and pivots == pivots2
-        for k, col in enumerate(pivots):
-            for i in range(r.nrows):
-                expect = Fraction(1) if i == k else Fraction(0)
-                assert r.entry(i, col) == expect
-
-
 def test_positive_definite():
     assert ExactMatrix.from_rows(Q, [[2, 1], [1, 2]]).is_positive_definite()
     assert not ExactMatrix.from_rows(Q, [[1, 2], [2, 1]]).is_positive_definite()

@@ -11,6 +11,8 @@ import random
 import pytest
 
 from matroidworks.catalog import (
+    catalog,
+    catalog_names,
     fano,
     graphic_k4,
     moebius_kantor,
@@ -116,6 +118,18 @@ def test_flats_are_exactly_closure_fixed_points():
         for r in range(m.rank + 1):
             level = [f for f in expect if rank_oracle(m, f) == r]
             assert list(m.flats(r)) == level
+
+
+def test_flats_by_rank():
+    # the levels of the closure search are the rank levels
+    names = [name for name in catalog_names() if name != "uniform(r,n)"]
+    for m in [catalog(name) for name in names] + [uniform(5, 10)]:
+        every = m.flats()
+        for k in range(m.rank + 1):
+            assert list(m.flats(k)) == [f for f in every if m.rank_of(f) == k]
+        assert sum(len(m.flats(k)) for k in range(m.rank + 1)) == len(every)
+        assert len(m.flats(-1)) == 0
+        assert len(m.flats(m.rank + 1)) == 0
 
 
 def test_circuits_are_minimal_dependent_sets():

@@ -14,7 +14,6 @@ from matroidworks.polynomials import (
     Poly,
     PolynomialRing,
     block_elimination,
-    divmod_poly,
     exact_divide,
     poly_str,
 )
@@ -92,19 +91,36 @@ def test_leading_data():
         ring.zero().leading_exp(DEGREVLEX)
 
 
-def test_divmod_invariants_random():
+def full_division(f, g, order):
+    """f = q*g + r with no term of r divisible by lm(g), by the textbook
+    loop that sets each indivisible leading term aside and goes on."""
+    lm = g.leading_exp(order)
+    q, r, work = f.ring.zero(), f.ring.zero(), f
+    while not work.is_zero():
+        e = work.leading_exp(order)
+        term = Poly(f.ring, {e: work.terms[e]})
+        if all(a >= b for a, b in zip(e, lm)):
+            ratio = tuple(a - b for a, b in zip(e, lm))
+            shift = Poly(f.ring, {ratio: work.terms[e] / g.terms[lm]})
+            q, work = q + shift, work - shift * g
+        else:
+            r, work = r + term, work - term
+    return q, r
+
+
+def test_exact_divide_matches_full_division():
+    # exact_divide stops at the first indivisible leading term; the full
+    # division, which keeps going, must then leave a nonzero remainder
     rng = random.Random(402)
     ring = qring("x", "y")
     for _ in range(80):
-        f = random_poly(rng, ring, max_terms=6)
         g = random_poly(rng, ring, max_terms=3)
         if g.is_zero():
             continue
-        q, r = divmod_poly(f, g, DEGREVLEX)
-        assert q * g + r == f
-        lm = g.leading_exp(DEGREVLEX)
-        for exps in r.terms:
-            assert not all(e >= l for e, l in zip(exps, lm))
+        for f in (random_poly(rng, ring, max_terms=6), random_poly(rng, ring) * g):
+            q, r = full_division(f, g, DEGREVLEX)
+            assert q * g + r == f
+            assert exact_divide(f, g, DEGREVLEX) == (q if r.is_zero() else None)
 
 
 def test_exact_divide():
