@@ -89,11 +89,10 @@ from .matroid import (
 )
 from .polynomials import (
     DEGREVLEX,
-    LEX,
+    ELIMINATE_FIRST,
     MonomialOrder,
     Poly,
     PolynomialRing,
-    block_elimination,
     poly_str,
 )
 from .realization import (

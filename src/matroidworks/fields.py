@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InputError, NonPrimeCharacteristic
+from .errors import InputError, MatroidworksError, NonPrimeCharacteristic
 
 
 def is_prime(p: int) -> bool:
@@ -317,7 +317,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
     for cand in _monic_polys(p, k):
         if _is_irreducible(cand, p):
             return cand
-    raise AssertionError("no irreducible polynomial found (impossible)")
+    raise MatroidworksError(f"internal: no monic irreducible of degree {k} over F_{p}")
 
 
 _RATIONALS = RationalField()

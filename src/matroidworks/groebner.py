@@ -14,6 +14,10 @@ place, reduce_inequations: normal form, monic, no scalars, sorted without
 repeats, and factors that are other inequations divided out.  saturate uses
 it on its inputs, and eliminate_linear_variables asks the same division
 primitive whether a coefficient is a unit.
+
+Everything runs in degrevlex except the Rabinowitsch step of saturation,
+which eliminates its auxiliary first variable in the block order
+ELIMINATE_FIRST.  So only buchberger and what it calls take an order.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import DegreeBudgetExceeded, InputError, RingMismatch, current_budget
 from .polynomials import (
     DEGREVLEX,
+    ELIMINATE_FIRST,
     MonomialOrder,
     Poly,
     PolynomialRing,
-    block_elimination,
     exact_divide,
     poly_sort_key,
 )
@@ -71,10 +75,16 @@ class GroebnerBasis:
         return len(self.elements)
 
     def contains_one(self) -> bool:
-        return any(e.is_constant() and not e.is_zero() for e in self.elements)
+        return has_unit(self.elements)
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} elements, {self.order!r})"
+
+
+def has_unit(basis: Iterable[Poly]) -> bool:
+    """Whether some element is a nonzero constant: for a Groebner basis,
+    whether it spans the unit ideal."""
+    return any(p.is_constant() and not p.is_zero() for p in basis)
 
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
@@ -134,15 +144,21 @@ def _reduce_terms(terms: dict, basis: Sequence[tuple], order: MonomialOrder, fie
     return remainder
 
 
-def normal_form(
-    f: Poly, basis: Iterable[Poly], order: MonomialOrder = DEGREVLEX
-) -> Poly:
-    """Unique remainder of f modulo a (Groebner) basis.
+def _divisors(leading: Iterable[tuple], order: MonomialOrder) -> list[tuple]:
+    """The (lm, lc, terms) divisors of _reduce_terms, ascending by leading
+    monomial, from (leading monomial, polynomial) pairs."""
+    divisors = [(lm, p.terms[lm], p.terms) for lm, p in leading]
+    divisors.sort(key=lambda t: order.key(t[0]))
+    return divisors
+
+
+def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
+    """Unique remainder of f modulo a (Groebner) basis, in degrevlex.
 
     For a non-Groebner divisor set the result still uses the deterministic
     first-divisor-in-order selection, so it is reproducible.
     """
-    divisors = []
+    leading = []
     for g in basis:
         if isinstance(g, GroebnerBasis):
             raise InputError("pass basis.elements")
@@ -150,16 +166,12 @@ def normal_form(
             continue
         if g.ring != f.ring:
             raise RingMismatch("normal form across rings")
-        lm = g.leading_exp(order)
-        divisors.append((lm, g.terms[lm], g.terms))
-    divisors.sort(key=lambda t: order.key(t[0]))
-    return Poly(f.ring, _reduce_terms(f.terms, divisors, order, f.ring.field))
+        leading.append((g.leading_exp(DEGREVLEX), g))
+    divisors = _divisors(leading, DEGREVLEX)
+    return Poly(f.ring, _reduce_terms(f.terms, divisors, DEGREVLEX, f.ring.field))
 
 
-def buchberger(
-    ideal: Ideal | Sequence[Poly],
-    order: MonomialOrder = DEGREVLEX,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal pair-selection strategy; the coprime and chain criteria prune
@@ -168,38 +180,23 @@ def buchberger(
     reductions than the current budget's pair_reductions.
     """
     limit = current_budget().pair_reductions
-    if isinstance(ideal, Ideal):
-        ring, gens = ideal.ring, list(ideal.gens)
-    else:
-        gens = [g for g in ideal]
-        if not gens:
-            raise InputError("buchberger() on an empty generator sequence needs an Ideal")
-        ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatch("generators over different rings")
-        gens = [g for g in gens if not g.is_zero()]
+    ring = ideal.ring
     field = ring.field
     key = order.key
-    if not gens:
+    if not ideal.gens:
         return GroebnerBasis(ring, order, ())
 
     seed = sorted(
-        (g.monic(order) for g in gens),
+        (g.monic(order) for g in ideal.gens),
         key=lambda p: (key(p.leading_exp(order)), poly_sort_key(p, order)),
     )
 
     basis: list[Poly] = []  # monic
     lms: list[tuple] = []
 
-    def sorted_divisors():
-        divs = [(lms[i], field.one, basis[i].terms) for i in range(len(basis))]
-        divs.sort(key=lambda t: key(t[0]))
-        return divs
-
     # seed with inter-reduction: keeps the pair queue small
     for g in seed:
-        r = _reduce_terms(g.terms, sorted_divisors(), order, field)
+        r = _reduce_terms(g.terms, _divisors(zip(lms, basis), order), order, field)
         if r:
             p = Poly(ring, r).monic(order)
             basis.append(p)
@@ -246,7 +243,7 @@ def buchberger(
         if reductions > limit:
             raise DegreeBudgetExceeded(f"Buchberger exceeded {limit} pair reductions")
         s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce_terms(s.terms, sorted_divisors(), order, field)
+        r = _reduce_terms(s.terms, _divisors(zip(lms, basis), order), order, field)
         if not r:
             continue
         p = Poly(ring, r).monic(order)
@@ -262,11 +259,8 @@ def buchberger(
             kept.append(i)
     # fully reduce tails against the other kept elements
     final: list[Poly] = []
-    for pos, i in enumerate(kept):
-        others = [
-            (lms[k], field.one, basis[k].terms) for k in kept if k != i
-        ]
-        others.sort(key=lambda t: key(t[0]))
+    for i in kept:
+        others = _divisors(((lms[k], basis[k]) for k in kept if k != i), order)
         r = _reduce_terms(basis[i].terms, others, order, field)
         if r:
             final.append(Poly(ring, r).monic(order))
@@ -277,25 +271,25 @@ def buchberger(
 # -- inequations -----------------------------------------------------------
 
 
-def sorted_unique(polys: Iterable[Poly], order: MonomialOrder) -> list[Poly]:
+def sorted_unique(polys: Iterable[Poly]) -> list[Poly]:
     """The polynomials ascending by poly_sort_key, each once."""
-    by_key = {poly_sort_key(p, order): p for p in polys}
+    by_key = {poly_sort_key(p): p for p in polys}
     return [by_key[k] for k in sorted(by_key)]
 
 
-def _divide_out(u: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly:
+def _divide_out(u: Poly, divisors: Sequence[Poly]) -> Poly:
     """u divided by the first divisor that divides it exactly, repeatedly.
 
     Divisors are tried in the given order and constants are skipped.  Only
     those whose leading monomial divides lm(u) are tried, since every exact
     divisor's does.  Stops when u is a scalar or no divisor divides it.
     """
-    lead = [(v.leading_exp(order), v) for v in divisors if not v.is_constant()]
+    lead = [(v.leading_exp(DEGREVLEX), v) for v in divisors if not v.is_constant()]
     while not u.is_constant():
-        lm = u.leading_exp(order)
+        lm = u.leading_exp(DEGREVLEX)
         for vlm, v in lead:
             if _divides(vlm, lm):
-                q = exact_divide(u, v, order)
+                q = exact_divide(u, v)
                 if q is not None:
                     u = q
                     break
@@ -305,7 +299,7 @@ def _divide_out(u: Poly, divisors: Sequence[Poly], order: MonomialOrder) -> Poly
 
 
 def reduce_inequations(
-    ineqs: Iterable[Poly], gb_elements: Sequence[Poly], order: MonomialOrder
+    ineqs: Iterable[Poly], gb_elements: Sequence[Poly]
 ) -> Optional[tuple]:
     """Inequations as semigroup generators of the same localization.
 
@@ -318,19 +312,19 @@ def reduce_inequations(
     """
     reduced = []
     for u in ineqs:
-        r = normal_form(u, gb_elements, order) if gb_elements else u
+        r = normal_form(u, gb_elements) if gb_elements else u
         if r.is_zero():
             return None
         if not r.is_constant():
-            reduced.append(r.monic(order))
-    pending = sorted_unique(reduced, order)
+            reduced.append(r.monic(DEGREVLEX))
+    pending = sorted_unique(reduced)
     done: list[Poly] = []
     keys: list = []
     while pending:
-        u = _divide_out(pending.pop(0), done, order)
+        u = _divide_out(pending.pop(0), done)
         if u.is_constant():
             continue
-        k = poly_sort_key(u, order)
+        k = poly_sort_key(u)
         pos = bisect_left(keys, k)
         pending[:0] = done[pos:]
         del done[pos:], keys[pos:]
@@ -369,11 +363,10 @@ def _saturate_by_one(gens: Sequence[Poly], u: Poly) -> list[Poly]:
     """Generators of (gens) : u^inf via the Rabinowitsch trick."""
     ring = u.ring
     ring2 = _extended_ring(ring)
-    order2 = block_elimination(1)
     t = ring2.var(0)
     ext = [_embed(g, ring2) for g in gens]
     ext.append(t * _embed(u, ring2) - ring2.one())
-    gb = buchberger(Ideal(ring2, ext), order2)
+    gb = buchberger(Ideal(ring2, ext), ELIMINATE_FIRST)
     out = []
     for g in gb:
         p = _project(g, ring)
@@ -394,13 +387,12 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
     I : (uv)^inf = (I : u^inf) : v^inf.
     """
     ring = ideal.ring
-    order = DEGREVLEX
-    gb = buchberger(ideal, order) if ideal.gens else GroebnerBasis(ring, order, ())
+    gb = buchberger(ideal) if ideal.gens else GroebnerBasis(ring, DEGREVLEX, ())
     if gb.contains_one():
         return Ideal(ring, (ring.one(),))
     if any(u.ring != ring for u in inequations):
         raise RingMismatch("inequation over the wrong ring")
-    factors = reduce_inequations(inequations, gb.elements, order)
+    factors = reduce_inequations(inequations, gb.elements)
     if factors is None:
         # some u lies in I, so 1 * u^1 is in I and the saturation is everything
         return Ideal(ring, (ring.one(),))
@@ -424,9 +416,9 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
         result = list(gb.elements)
         for f in factors:
             result = _saturate_by_one(result, f)
-            if any(p.is_constant() and not p.is_zero() for p in result):
+            if has_unit(result):
                 return Ideal(ring, (ring.one(),))
-    final = buchberger(Ideal(ring, result), order) if result else GroebnerBasis(ring, order, ())
+    final = buchberger(Ideal(ring, result)) if result else GroebnerBasis(ring, DEGREVLEX, ())
     if final.contains_one():
         return Ideal(ring, (ring.one(),))
     return Ideal(ring, final.elements)
@@ -499,10 +491,7 @@ def _substitute_cleared(h: Poly, x: int, num: Poly, den: Poly) -> Poly:
 
 
 def eliminate_linear_variables(
-    generators: Sequence[Poly],
-    inequations: Sequence[Poly],
-    protected: frozenset[int] | set[int] = frozenset(),
-    order: MonomialOrder = DEGREVLEX,
+    generators: Sequence[Poly], inequations: Sequence[Poly]
 ) -> EliminationResult:
     """Repeatedly eliminate variables with unit linear coefficient.
 
@@ -517,22 +506,21 @@ def eliminate_linear_variables(
     gens = [g for g in generators if not g.is_zero()]
     ineqs = list(inequations)
     subs: list[Substitution] = []
-    protected = frozenset(protected)
     while True:
         best = None  # (var, gen_sort_key, c, rest, gen)
         for g in gens:
             for x in g.variables():
-                if x in protected or g.degree_in(x) != 1:
+                if g.degree_in(x) != 1:
                     continue
                 c, rest = _split_linear(g, x)
                 if c.is_zero():
                     continue
                 scalar = c.is_constant()
-                if not scalar and not _divide_out(c, ineqs, order).is_constant():
+                if not scalar and not _divide_out(c, ineqs).is_constant():
                     continue
                 # prefer the largest variable index; for one variable,
                 # prefer scalar coefficients, then the smaller generator
-                cand = (x, 0 if scalar else 1, poly_sort_key(g, order), c, rest)
+                cand = (x, 0 if scalar else 1, poly_sort_key(g), c, rest)
                 if (
                     best is None
                     or cand[0] > best[0]

@@ -1,9 +1,9 @@
 """Multivariate polynomials with dense exponent tuples over the exact fields.
 
 A ring is (field, variable names); a polynomial is a dict from exponent
-tuples to nonzero coefficients.  Monomial orders are value objects producing
-sort keys, so "largest monomial" is always max() over keys.  Everything here
-is immutable by convention: operations build new polynomials.
+tuples to nonzero coefficients.  Monomial orders produce sort keys, so
+"largest monomial" is always max() over keys.  Everything here is
+immutable by convention: operations build new polynomials.
 """
 
 from __future__ import annotations
@@ -16,24 +16,22 @@ from .fields import ExtensionField, Field, RationalField
 
 
 class MonomialOrder:
-    """degrevlex, lex, or a two-block elimination order (degrevlex in each block)."""
+    """degrevlex, or a two-block elimination order (degrevlex in each block).
 
-    __slots__ = ("kind", "block")
+    The pipeline uses two orders: DEGREVLEX everywhere, and ELIMINATE_FIRST,
+    whose first block is the first variable alone, where saturation
+    eliminates its auxiliary variable.
+    """
 
-    def __init__(self, kind: str, block: Optional[int] = None):
-        if kind not in ("degrevlex", "lex", "block"):
-            raise InputError(f"unknown monomial order {kind!r}")
-        if kind == "block" and (block is None or block < 1):
-            raise InputError("block order needs a positive first-block size")
-        self.kind = kind
-        self.block = block
+    __slots__ = ("block",)
+
+    def __init__(self, block: Optional[int] = None):
+        self.block = block  # first-block size; None for degrevlex
 
     def key(self, exps: tuple) -> tuple:
-        if self.kind == "lex":
-            return exps
-        if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
         s = self.block
+        if s is None:
+            return (sum(exps), tuple(-e for e in reversed(exps)))
         head, tail = exps[:s], exps[s:]
         return (
             sum(head),
@@ -42,28 +40,14 @@ class MonomialOrder:
             tuple(-e for e in reversed(tail)),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.block))
-
     def __repr__(self):
-        if self.kind == "block":
-            return f"MonomialOrder(block, {self.block})"
-        return f"MonomialOrder({self.kind})"
+        if self.block is None:
+            return "MonomialOrder(degrevlex)"
+        return f"MonomialOrder(block, {self.block})"
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
-
-
-def block_elimination(first_block_size: int) -> MonomialOrder:
-    return MonomialOrder("block", first_block_size)
+DEGREVLEX = MonomialOrder()
+ELIMINATE_FIRST = MonomialOrder(1)
 
 
 class PolynomialRing:
@@ -260,8 +244,8 @@ class Poly:
             return self
         return self.scale(self.ring.field.inv(self.leading_coeff(order)))
 
-    def sorted_terms(self, order: MonomialOrder) -> list[tuple]:
-        return sorted(self.terms, key=order.key, reverse=True)
+    def sorted_terms(self) -> list[tuple]:
+        return sorted(self.terms, key=DEGREVLEX.key, reverse=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -307,15 +291,15 @@ def _coeff_str(field: Field, c) -> tuple[str, bool]:
     return s, ("+" in s or (isinstance(field, ExtensionField) and "*" in s))
 
 
-def poly_str(p: Poly, order: MonomialOrder = DEGREVLEX) -> str:
-    """Deterministic rendering: terms descending in the order, ^ powers, * products."""
+def poly_str(p: Poly) -> str:
+    """Deterministic rendering: terms descending in degrevlex, ^ powers, * products."""
     if p.is_zero():
         return "0"
     field = p.ring.field
     names = p.ring.names
     rational = isinstance(field, RationalField)
     pieces = []
-    for idx, e in enumerate(p.sorted_terms(order)):
+    for idx, e in enumerate(p.sorted_terms()):
         c = p.terms[e]
         negative = rational and c < 0
         mag = -c if negative else c
@@ -346,8 +330,8 @@ def poly_sort_key(p: Poly, order: MonomialOrder = DEGREVLEX):
     return tuple((order.key(e), repr(p.terms[e])) for e in items)
 
 
-def exact_divide(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Optional[Poly]:
-    """f / g when the division is exact, else None.
+def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
+    """f / g when the division is exact, else None (division in degrevlex).
 
     The leading terms of the working dividend strictly decrease, so a term
     that lm(g) does not divide is never cancelled: the division stops there.
@@ -359,12 +343,12 @@ def exact_divide(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Optional
     if ring != g.ring:
         raise RingMismatch("division over different rings")
     field = ring.field
-    glm = g.leading_exp(order)
+    glm = g.leading_exp(DEGREVLEX)
     glc = g.terms[glm]
     q: dict = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=DEGREVLEX.key)
         if not all(a >= b for a, b in zip(e, glm)):
             return None
         ratio = tuple(a - b for a, b in zip(e, glm))

@@ -46,6 +46,7 @@ from .groebner import (
     Substitution,
     buchberger,
     eliminate_linear_variables,
+    has_unit,
     reduce_inequations,
     saturate,
     sorted_unique,
@@ -147,13 +148,13 @@ def choose_basis(m: Matroid) -> tuple[int, ...]:
 def build_parameterized_matrix(
     m: Matroid, basis: Sequence[int], field: Optional[Field] = None
 ):
-    """The r x n symbolic matrix for the given basis, plus its variables.
+    """The r x n symbolic matrix for the given basis, and its ring.
 
     The basis columns carry the identity; every other entry is fixed to 0
     (non-basis exchange), fixed to 1 (mu/nu normalization), or a fresh
     variable named x_{i,j} for row i and grid column j, numbered row-major.
-    Returns (ring, grid, names) where grid is an r x n tuple of rows of
-    polynomials and names are the variable names in ring order.
+    Returns (ring, grid) where grid is an r x n tuple of rows of
+    polynomials over ring.
     """
     if field is None:
         field = field_of_characteristic(0)
@@ -190,7 +191,7 @@ def build_parameterized_matrix(
                 else:
                     row.append(ring.var(slot_at[i, pos]))
         grid.append(tuple(row))
-    return ring, tuple(grid), ring.names
+    return ring, tuple(grid)
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,7 @@ class RealizationSpace:
 
     @property
     def free_variables(self) -> tuple[str, ...]:
-        gone = {s.var for s in self.substitutions}
-        return tuple(
-            name for i, name in enumerate(self.ring.names) if i not in gone
-        )
+        return tuple(self.ring.names[i] for i in _free_indices(self))
 
     @property
     def num_free_variables(self) -> int:
@@ -256,20 +254,19 @@ def _simplify(ring, gens, ineqs):
     Returns (gens, ineqs, substitutions, empty) with empty=True when the
     presentation already proves the localized quotient is zero.
     """
-    order = DEGREVLEX
     subs: list[Substitution] = []
     gens = list(gens)
     ineqs = list(ineqs)
     for _ in range(len(ring.names) + 2):
-        gb = buchberger(Ideal(ring, gens), order)
+        gb = buchberger(Ideal(ring, gens))
         if gb.contains_one():
             return (ring.one(),), tuple(ineqs), tuple(subs), True
         gens = list(gb.elements)
-        reduced = reduce_inequations(ineqs, gens, order)
+        reduced = reduce_inequations(ineqs, gens)
         if reduced is None:
             return tuple(gens), tuple(ineqs), tuple(subs), True
         ineqs = list(reduced)
-        step = eliminate_linear_variables(gens, ineqs, frozenset(), order)
+        step = eliminate_linear_variables(gens, ineqs)
         if not step.substitutions:
             break
         subs.extend(step.substitutions)
@@ -302,9 +299,8 @@ def realization_space(
         )
     else:
         basis = tuple(sorted(basis))
-    ring, grid, _ = build_parameterized_matrix(m, basis, field)
+    ring, grid = build_parameterized_matrix(m, basis, field)
     oracle = MinorOracle(grid) if m.rank > 0 else None
-    order = DEGREVLEX
     gens = []
     ineqs = []
     if oracle is not None:
@@ -314,8 +310,8 @@ def realization_space(
             if mask_of((c + 1 for c in cols), n) in m.bases:
                 ineqs.append(minor)
             elif not minor.is_zero():
-                gens.append(minor.monic(order))
-    gens = sorted_unique(gens, order)
+                gens.append(minor.monic(DEGREVLEX))
+    gens = sorted_unique(gens)
 
     subs: tuple = ()
     empty = False
@@ -327,7 +323,7 @@ def realization_space(
             undecided = True
             gens, ineqs = tuple(gens), tuple(ineqs)
     else:
-        reduced = reduce_inequations(ineqs, (), order)
+        reduced = reduce_inequations(ineqs, ())
         empty = reduced is None
         if not empty:
             ineqs = reduced
@@ -340,10 +336,9 @@ def realization_space(
     else:
         try:
             sat = saturate(Ideal(ring, gens), list(ineqs))
-            one = any(
-                g.is_constant() and not g.is_zero() for g in sat.gens
+            verdict = (
+                SpaceVerdict.EMPTY if has_unit(sat.gens) else SpaceVerdict.NONEMPTY
             )
-            verdict = SpaceVerdict.EMPTY if one else SpaceVerdict.NONEMPTY
         except DegreeBudgetExceeded:
             verdict = SpaceVerdict.UNDECIDED
     return RealizationSpace(

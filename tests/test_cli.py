@@ -301,6 +301,58 @@ def test_chow_kahler_uniform_5_7(capsys):
     )
 
 
+# SHA-256 of `mw realization --name N --char C [--no-simplify] --format json`.
+# Pappus is pinned simplified only: unsimplified in characteristic 0 it
+# takes about a minute.
+REALIZATION_DIGESTS = [
+    ("fano", 0, False, "2be206fe4489ee65e0d1ab371c8291fd0320c18e42e6686fed8fef778fc33cca"),
+    ("fano", 2, False, "32ae1488efe0250808df847a0322b3a9ead6e4d04df273697a2e1597284b121e"),
+    ("fano", 3, False, "15c76314405d577d3a806578a6cd6305d6dee350feb9322869eddd702dd85a89"),
+    ("fano", 0, True, "5ab2bfb8a3db2dbdd576aeef03af7bc872c2838cc409eb229d49c8efc454c5e6"),
+    ("fano", 2, True, "33ee5a63b7fc3a802311b23e8fb99812c5dd940c7bf691be510768f13704cbe7"),
+    ("fano", 3, True, "9e0831852fac8eba543aaa804009253002334fb7b71cfcf772cc3c6df56fc9db"),
+    ("non_fano", 0, False, "2c5126372aac1a1d3fbe5a3e9f1f8c1d3176b860fa2b4b532ace6b532116ef30"),
+    ("non_fano", 2, False, "945f876362d77de5a8225bd2981334ac64414ace5ec5fa4bc0de632154ae45dd"),
+    ("non_fano", 3, False, "daf57dd56d455a171d254a1d06456e5f2cf15cde48e183243a8a4bc07f45a1f1"),
+    ("non_fano", 0, True, "e2488d1a11e16da97928da08ba20426ce2591f557fe36aa852d66a90098492bc"),
+    ("non_fano", 2, True, "827ecf28059a6c1422a0e22415be3a14b37dfb8c3868696b1da93cc619c150af"),
+    ("non_fano", 3, True, "03be23137b6f1f0b3b3d1736f83902c84d1fe3fa298d6110a42ae52fce9acc1b"),
+    ("vamos", 0, False, "d7e01e1fd66e8fa0393579bb710aece9664fb4957d30ae0ab8b2bc3a9cb45cbe"),
+    ("vamos", 2, False, "d9a38b7f48c8b0610a80ac3e6dc6a304fc68660e87e107266f3e4ee46de672ad"),
+    ("vamos", 3, False, "e9b7ec49e9bdb9ad537d2c4c412c900c74a987cac6949add4a8ab630a8ada253"),
+    ("vamos", 0, True, "46c5e94cc168a6377d0991eb06109f8a2f033f0eb93ffaea24a06001ea07b6ec"),
+    ("vamos", 2, True, "8a426e7b9b87fb384bf93d554570f71c17c0fddd016cdeebcce1a3f743ebebbc"),
+    ("vamos", 3, True, "403d437eb9a7a519b6205d63b3b175cc2fca7fb1b7cd76575bddba11cadde9ac"),
+    ("moebius_kantor", 0, False, "22afc86a6d91e5fcf955644f096d9184df629b1951ab7be15983c95733a7a9ad"),
+    ("moebius_kantor", 2, False, "5775c4aea1eb9b7b74d18eda2403821d87596cd8c3a0df2d0fedd3ff668d48a4"),
+    ("moebius_kantor", 3, False, "da53f94e3d0f06f99e0fdb5e0144f104b551127ba3d39c59255afb726860f74e"),
+    ("moebius_kantor", 0, True, "c9421b77bf88a52f0885340aba43a4a13a723b6a07d0de459e1ea50923a5f39f"),
+    ("moebius_kantor", 2, True, "febeaf13fc1e133aa10fee090fae5ef8c42d50b20f54000564f3ec9dfb3ab906"),
+    ("moebius_kantor", 3, True, "ceed2fd2ece644eae2eae62fb064f0acc570818066dacfb60c10f23280c84a02"),
+    ("pappus", 0, False, "614f239cdd8130090dea41fd91ac9b0bee70e3c20cabe8a8ec36573d13319a23"),
+    ("pappus", 2, False, "5a3af2319024945f2528d77d1dace29b4f5e482344296bb52a4dd9c5b83ae636"),
+    ("pappus", 3, False, "f84ebe5d9b39b0de74fc42fbcc9e580b43175e7b435a9274c8e246c084e0d40e"),
+    ("k4", 0, False, "2a00f959be67ed12a099b4812d55631b6d857670243d67ef831d06856531ac6c"),
+    ("k4", 2, False, "1901f53aea141f8cc13927109e7bdb6ea4d37e08b81971ebcb0e650e018876a9"),
+    ("k4", 3, False, "82cae51c3e1c14c690e423f878b63950a047dc224adfbaa6cd8688995f6adedb"),
+    ("k4", 0, True, "c049fe4c8ecd69b09dac9bfa4ead6f368de9d4c7047edbe8b0afa11aec7d8cb2"),
+    ("k4", 2, True, "bd2c75b04689bd9a4055cc7f23049806e664a0d888be4f75b606052ec1dfc329"),
+    ("k4", 3, True, "bb32e01f7715b6db96f6e431dc80ee063cad0b8a17e925095fc1f816aa20479a"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,char,no_simplify,digest",
+    REALIZATION_DIGESTS,
+    ids=[f"{n}-{c}" + ("-no-simplify" if ns else "") for n, c, ns, _ in REALIZATION_DIGESTS],
+)
+def test_realization_json_bytes(capsys, name, char, no_simplify, digest):
+    argv = ["realization", "--name", name, "--char", str(char), "--format", "json"]
+    rc, out, _ = run(capsys, argv + (["--no-simplify"] if no_simplify else []))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _relabelings(n):
     """Three fixed permutations; each moves the lowest element 1."""
     return [

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from matroidworks.errors import InputError, NonPrimeCharacteristic
+from matroidworks import fields
+from matroidworks.errors import InputError, MatroidworksError, NonPrimeCharacteristic
 from matroidworks.fields import (
     extension_field,
     factor_prime_power,
@@ -96,6 +97,14 @@ def test_extension_field_modulus_checks():
     auto = extension_field(2, 3)
     assert auto.modulus == (1, 1, 0)
     assert auto.order == 8
+
+
+def test_missing_modulus_is_an_internal_error(monkeypatch):
+    # a degree with no irreducible would be a library bug; it must surface
+    # as the library's own error, not as an AssertionError
+    monkeypatch.setattr(fields, "_is_irreducible", lambda coeffs, p: False)
+    with pytest.raises(MatroidworksError, match="internal"):
+        extension_field(3, 2)
 
 
 def test_field_of_characteristic():
