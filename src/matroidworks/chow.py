@@ -42,7 +42,7 @@ from .errors import (
 )
 from .fields import rationals
 from .groebner import buchberger  # noqa: F401  (a boundary of mwbench/tracing.py)
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _add_row, _solve
 from .matroid import Matroid, mask_elements, mask_of
 
 _Q = rationals()
@@ -78,61 +78,6 @@ def _fy_dimensions(levels) -> tuple[int, ...]:
             g[f] = acc
             total = [a + b for a, b in zip(total, acc)]
     return tuple(total)
-
-
-def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
-    """a * x + b * y for sparse vectors, without zero entries."""
-    out = {k: a * v for k, v in x.items()}
-    for k, v in y.items():
-        s = out.get(k, 0) + b * v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return out
-
-
-def _reduce(rows: dict, vec: dict, combo: dict) -> tuple[dict, dict]:
-    """Clear every lead of vec that has a row in rows, applying each step
-    to the combination combo carried along with vec.
-
-    rows is a fraction-free row echelon form of sparse integer vectors:
-    lead -> (vec, combo), the lead being the vector's smallest index.
-    """
-    while vec:
-        lead = min(vec)
-        row = rows.get(lead)
-        if row is None:
-            break
-        p, f = row[0][lead], vec[lead]
-        vec, combo = _axpy(p, vec, -f, row[0]), _axpy(p, combo, -f, row[1])
-        g = math.gcd(*vec.values(), *combo.values())
-        if g != 1:
-            vec = {k: v // g for k, v in vec.items()}
-            combo = {k: v // g for k, v in combo.items()}
-    return vec, combo
-
-
-def _add_row(rows: dict, vec: dict, label: Optional[int] = None) -> bool:
-    """Keep vec in rows if it is independent of them.  With a label, each
-    row also keeps the combination of labelled vectors it equals."""
-    vec, combo = _reduce(rows, vec, {} if label is None else {label: 1})
-    if not vec:
-        return False
-    rows[min(vec)] = (vec, combo)
-    return True
-
-
-def _solve(rows: dict, vec: dict) -> dict[int, Fraction]:
-    """Coefficients, by label, of the labelled vectors that sum to vec."""
-    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
-    # the label None carries the multiple of vec itself
-    vec = {k: int(v * den) for k, v in vec.items() if v}
-    vec, combo = _reduce(rows, vec, {None: 1})
-    if vec:
-        raise MatroidworksError("internal: element outside the pairing span")
-    scale = combo.pop(None) * den
-    return {k: Fraction(-v, scale) for k, v in combo.items()}
 
 
 class ChowRing:
@@ -583,6 +528,10 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     (-1)^k Mat2 restricted to the kernel, tested for positive definiteness
     by Sylvester's criterion.
 
+    The matrices hold the degrees as computed, ints unless ell has
+    fractional coefficients; their ranks and the kernel come from the
+    sparse echelon of linalg.
+
     Powers of ell = sum c_F x_F are expanded flat by flat, memoised on the
     chain monomial they multiply.
     """
@@ -639,27 +588,20 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         for j in range(i, dim_k):
             mat2_rows[i][j] = mat2_rows[j][i] = product_degree(b, basis_k[j])
 
-    mat1 = ExactMatrix.from_rows(_Q, mat1_rows)
-    mat2 = ExactMatrix.from_rows(_Q, mat2_rows)
+    mat1 = ExactMatrix(_Q, mat1_rows)
+    mat2 = ExactMatrix(_Q, mat2_rows)
     poincare = mat1.rank() == dim_k
     lefschetz_iso = mat2.rank() == dim_k
 
-    # primitive part: kernel of ell^{r - 2k} out of A^k; for k = 0 the
-    # target A^r is zero and every vector is primitive
-    kernel_vectors: list[tuple]
-    if k == 0:
-        kernel_vectors = [
-            tuple(_ONE if j == i else _ZERO for j in range(dim_k))
-            for i in range(dim_k)
-        ]
-    else:
+    # primitive part: kernel of ell^{r - 2k} out of A^k
+    if k:
         map_rows = [
             [product_degree(b, chain, p) for b in basis_k]
             for chain, p, _ in ring._fy_monomials(k - 1)
         ]
-        kernel_vectors = [
-            tuple(v) for v in ExactMatrix.from_rows(_Q, map_rows).kernel_basis()
-        ]
+    else:
+        map_rows = [[0] * dim_k]  # the target A^r is zero
+    kernel_vectors = ExactMatrix(_Q, map_rows).kernel_basis()
     kernel = tuple(
         ChowElement(ring, k, vec) for vec in kernel_vectors
     )
@@ -672,7 +614,7 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         den = math.lcm(*(v.denominator for v in vec))
         scaled.append((den, [(a, (v * den).numerator) for a, v in enumerate(vec) if v]))
     mat2_k = [[sum(v * row[b] for b, v in kv) for row in mat2_rows] for _, kv in scaled]
-    restricted = ExactMatrix.from_rows(
+    restricted = ExactMatrix(
         _Q,
         [
             [

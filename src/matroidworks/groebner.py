@@ -156,12 +156,14 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     """Unique remainder of f modulo a (Groebner) basis, in degrevlex.
 
     For a non-Groebner divisor set the result still uses the deterministic
-    first-divisor-in-order selection, so it is reproducible.
+    first-divisor-in-order selection, so it is reproducible.  A
+    GroebnerBasis in another order is refused: its remainder in degrevlex
+    is not a normal form.
     """
+    if isinstance(basis, GroebnerBasis) and basis.order.block is not None:
+        raise InputError("normal form needs a degrevlex Groebner basis")
     leading = []
     for g in basis:
-        if isinstance(g, GroebnerBasis):
-            raise InputError("pass basis.elements")
         if g.is_zero():
             continue
         if g.ring != f.ring:

@@ -1,9 +1,11 @@
 """Exact linear algebra over the coefficient fields, plus symbolic minors.
 
-ExactMatrix does Gaussian elimination with exact field arithmetic (no
-floating point anywhere).  Over Q, rank and positive definiteness clear
-each row's denominators and use fraction-free (Bareiss) elimination over
-the integers; kernels stay in the field.
+Over Q every rank, kernel and solve is one sparse fraction-free echelon
+of integer vectors (_reduce): each row step multiplies by the pivot and
+divides out the content, so no fraction appears.  The Chow ring builds
+and solves against its bases with it, and ExactMatrix ranks and takes
+kernels with it.  is_positive_definite is the one symmetric routine, and
+GF(q) ranks use field elimination.
 MinorOracle computes determinants of matrices of polynomials by cofactor
 expansion, memoized on (rows, columns) so the many overlapping minors of
 one parameterized matrix share work.
@@ -12,164 +14,177 @@ one parameterized matrix share work.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError, NotSymmetric, RingMismatch
+from .errors import InputError, MatroidworksError, NotSymmetric, RingMismatch
 from .fields import Field, RationalField
 from .polynomials import Poly, PolynomialRing
 
+_ZERO = Fraction(0)
+
+
+def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
+    """a * x + b * y for sparse vectors, without zero entries."""
+    out = {k: a * v for k, v in x.items()}
+    for k, v in y.items():
+        s = out.get(k, 0) + b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _reduce(rows: dict, vec: dict, combo: dict) -> tuple[dict, dict]:
+    """Clear every lead of vec that has a row in rows, applying each step
+    to the combination combo carried along with vec.
+
+    rows is a fraction-free row echelon form of sparse integer vectors:
+    lead -> (vec, combo), the lead being the vector's smallest index.
+    """
+    while vec:
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is None:
+            break
+        p, f = row[0][lead], vec[lead]
+        vec, combo = _axpy(p, vec, -f, row[0]), _axpy(p, combo, -f, row[1])
+        g = math.gcd(*vec.values(), *combo.values())
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+            combo = {k: v // g for k, v in combo.items()}
+    return vec, combo
+
+
+def _add_row(rows: dict, vec: dict, label: Optional[int] = None) -> bool:
+    """Keep vec in rows if it is independent of them.  With a label, each
+    row also keeps the combination of labelled vectors it equals."""
+    vec, combo = _reduce(rows, vec, {} if label is None else {label: 1})
+    if not vec:
+        return False
+    rows[min(vec)] = (vec, combo)
+    return True
+
+
+def _solve(rows: dict, vec: dict) -> dict[int, Fraction]:
+    """Coefficients, by label, of the labelled vectors that sum to vec."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    # the label None carries the multiple of vec itself
+    vec = {k: int(v * den) for k, v in vec.items() if v}
+    vec, combo = _reduce(rows, vec, {None: 1})
+    if vec:
+        raise MatroidworksError("internal: element outside the pairing span")
+    scale = combo.pop(None) * den
+    return {k: Fraction(-v, scale) for k, v in combo.items()}
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """Rational rows, each multiplied by the lcm of its denominators: the
+    rank, the kernel and the sign of every leading minor stay."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
 
 class ExactMatrix:
-    """Immutable matrix of field elements."""
+    """Immutable matrix of field elements (over Q, ints or Fractions)."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field: Field, rows: tuple):
+    def __init__(self, field: Field, rows: Sequence[Sequence]):
         self.field = field
-        self.rows = rows
+        self.rows = rows = tuple(map(tuple, rows))
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
-        if not rows:
-            return cls(field, ())
-        width = len(rows[0])
-        out = []
-        for r in rows:
-            if len(r) != width:
-                raise InputError("ragged rows in matrix")
-            out.append(tuple(field.coerce(v) for v in r))
-        return cls(field, tuple(out))
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        if len({len(r) for r in rows}) > 1:
+            raise InputError("ragged rows in matrix")
+        return cls(field, ([field.coerce(v) for v in r] for r in rows))
 
     def column_submatrix(self, cols: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field, tuple(tuple(row[j] for j in cols) for row in self.rows)
-        )
+        return ExactMatrix(self.field, ([row[j] for j in cols] for row in self.rows))
 
-    def _echelon(self) -> tuple[list[list], list[int]]:
-        """Row-reduce a working copy; returns (reduced rows, pivot columns)."""
+    def _echelon(self) -> int:
+        """The rank by forward elimination in the field; used off Q."""
         f = self.field
         work = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        row = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(row, len(work)):
-                if not f.is_zero(work[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            work[row], work[sel] = work[sel], work[row]
-            inv = f.inv(work[row][col])
-            work[row] = [f.mul(inv, v) for v in work[row]]
-            for i in range(len(work)):
-                if i != row and not f.is_zero(work[i][col]):
-                    c = work[i][col]
-                    work[i] = [
-                        f.sub(a, f.mul(c, b)) for a, b in zip(work[i], work[row])
-                    ]
-            pivots.append(col)
-            row += 1
-        return work, pivots
-
-    def rank(self) -> int:
-        """Over Q, fraction-free: each row is scaled to integers (which
-        keeps the rank) and Bareiss elimination counts the pivots."""
-        if not isinstance(self.field, RationalField):
-            return len(self._echelon()[1])
-        work = _integer_rows(self.rows)
         rank = 0
-        prev = 1
         for col in range(self.ncols):
-            sel = None
-            for i in range(rank, len(work)):
-                if work[i][col]:
-                    sel = i
-                    break
+            sel = next((i for i in range(rank, len(work)) if not f.is_zero(work[i][col])), None)
             if sel is None:
                 continue
             work[rank], work[sel] = work[sel], work[rank]
-            _bareiss_step(work, rank, col, prev)
-            prev = work[rank][col]
+            top = work[rank]
+            inv = f.inv(top[col])
+            for i in range(rank + 1, len(work)):
+                if not f.is_zero(work[i][col]):
+                    c = f.mul(work[i][col], inv)
+                    work[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(work[i], top)]
             rank += 1
         return rank
 
+    def rank(self) -> int:
+        """Over Q, each row is scaled to integers and the rank is the number
+        of rows the sparse echelon keeps; other fields use _echelon."""
+        if not isinstance(self.field, RationalField):
+            return self._echelon()
+        rows: dict = {}
+        return sum(
+            _add_row(rows, {j: v for j, v in enumerate(row) if v})
+            for row in _integer_rows(self.rows)
+        )
+
     def kernel_basis(self) -> list[tuple]:
-        """Basis of the right kernel, one vector per free column."""
-        f = self.field
-        work, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        """Basis of the right kernel over Q, one vector per free column.
+
+        The columns, each labelled by its index, are reduced in order.  A
+        column that reduces to zero gives the unique combination of the
+        pivot columns before it, and so the kernel vector of the reduced row
+        echelon form: the combination divided by the column's coefficient.
+        """
+        if not isinstance(self.field, RationalField):
+            raise InputError("kernels are computed over Q")
+        work = _integer_rows(self.rows)
+        rows: dict = {}
         basis = []
-        for j in free:
-            vec = [f.zero] * self.ncols
-            vec[j] = f.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(work[r][j])
+        for j in range(self.ncols):
+            col = {i: row[j] for i, row in enumerate(work) if row[j]}
+            col, combo = _reduce(rows, col, {j: 1})
+            if col:
+                rows[min(col)] = (col, combo)
+                continue
+            vec = [_ZERO] * self.ncols
+            for i, c in combo.items():
+                vec[i] = Fraction(c, combo[j])
             basis.append(tuple(vec))
         return basis
-
-    def det(self):
-        if self.nrows != self.ncols:
-            raise InputError("determinant of a non-square matrix")
-        f = self.field
-        work = [list(r) for r in self.rows]
-        n = self.nrows
-        det = f.one
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if not f.is_zero(work[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                return f.zero
-            if sel != col:
-                work[col], work[sel] = work[sel], work[col]
-                det = f.neg(det)
-            det = f.mul(det, work[col][col])
-            inv = f.inv(work[col][col])
-            for i in range(col + 1, n):
-                if not f.is_zero(work[i][col]):
-                    c = f.mul(work[i][col], inv)
-                    work[i] = [
-                        f.sub(a, f.mul(c, b)) for a, b in zip(work[i], work[col])
-                    ]
-        return det
-
-    def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion: every leading principal minor is positive.
 
-        Each row is scaled to integers by a positive factor, which keeps
-        the sign of every leading minor.  Bareiss elimination without
-        pivoting then leaves the k-th leading minor as the k-th pivot, so
-        one O(n^3) pass checks them all.
+        Bareiss elimination of the integer-scaled rows without pivoting
+        leaves the k-th leading minor as the k-th pivot (each division by
+        the previous pivot is exact), so one O(n^3) pass checks them all.
         """
         if not isinstance(self.field, RationalField):
             raise InputError("positive definiteness is checked over Q")
-        if not self.is_symmetric():
+        if self.rows != tuple(zip(*self.rows)):
             raise NotSymmetric("matrix is not symmetric")
         work = _integer_rows(self.rows)
         prev = 1
-        for k in range(self.nrows):
-            if work[k][k] <= 0:
+        for k, top in enumerate(work):
+            p = top[k]
+            if p <= 0:
                 return False
-            _bareiss_step(work, k, k, prev)
-            prev = work[k][k]
+            for i in range(k + 1, self.nrows):
+                a = work[i][k]
+                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+            prev = p
         return True
 
     def __eq__(self, other):
@@ -184,25 +199,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """Rational rows, each multiplied by the lcm of its denominators."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (den // v.denominator) for v in row])
-    return out
-
-
-def _bareiss_step(work: list[list[int]], row: int, col: int, prev: int) -> None:
-    """Clear column col below work[row][col] in place; prev is the previous
-    pivot (1 at the first step), by which every division is exact."""
-    top = work[row]
-    p = top[col]
-    for i in range(row + 1, len(work)):
-        a = work[i][col]
-        work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
 
 
 class MinorOracle:

@@ -12,13 +12,15 @@ by the first complete flag.
 Nothing here reads the degree map, the FY basis or the pairings of
 ``matroidworks.chow``; only the flats of a ``ChowRing`` are used, and the
 oracle builds its own polynomial ring Q[x_F] over them (``flat_ring``).
+Its ranks, kernels and definiteness checks are the dense ones of
+``dense_linalg``, not those of ``matroidworks.linalg``.
 """
 
 import math
 from fractions import Fraction
 
+from dense_linalg import bareiss_rank, is_positive_definite, kernel_basis
 from matroidworks.fields import rationals
-from matroidworks.linalg import ExactMatrix
 from matroidworks.matroid import mask_elements
 from matroidworks.polynomials import Poly, PolynomialRing
 
@@ -292,7 +294,7 @@ class EliminationRing:
             for t, col in enumerate(images):
                 for s, v in col:
                     map_rows[s][t] = v
-            kernel = ExactMatrix.from_rows(field, map_rows).kernel_basis()
+            kernel = kernel_basis(field, map_rows)
         # K^T Mat2 K with each kernel vector scaled to integers, and each
         # entry divided back by the two scales
         sign = -1 if k % 2 else 1
@@ -310,8 +312,8 @@ class EliminationRing:
             for du, nz in zip(dens, nonzero)
         ]
         verdicts = (
-            ExactMatrix.from_rows(field, mat1).rank() == dim_k,
-            ExactMatrix.from_rows(field, mat2).rank() == dim_k,
-            not kernel or ExactMatrix.from_rows(field, restricted).is_positive_definite(),
+            bareiss_rank(mat1) == dim_k,
+            bareiss_rank(mat2) == dim_k,
+            not kernel or is_positive_definite(restricted),
         )
         return mat1, mat2, [tuple(v) for v in kernel], restricted, verdicts

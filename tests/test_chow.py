@@ -11,7 +11,7 @@ elements, and the full Kaehler report), and on uniform(5, 6) at k = 2.
 
 Two independent anchors keep both honest.  The linear-form rank oracle
 pins dim A^1 as (number of proper nonempty flats) minus the rank of the
-relations alpha_1 - alpha_j, computed here with a fresh matrix.  The
+relations alpha_1 - alpha_j, computed by the dense rank of ``dense_linalg``.  The
 Buchberger cross-check recomputes standard monomials and normal forms
 from a reduced degrevlex basis of the defining ideal, and they must
 coincide with the library's basis and products degree by degree.
@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 from chow_elimination import EliminationRing, flat_ring, ideal_generators
+from dense_linalg import bareiss_rank, det, echelon, kernel_basis
 
 from matroidworks.catalog import (
     catalog,
@@ -53,7 +54,6 @@ from matroidworks.errors import (
 from matroidworks.fields import rationals
 from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
-from matroidworks.linalg import ExactMatrix
 from matroidworks.matroid import Matroid, matroid_from_bases
 from matroidworks.polynomials import DEGREVLEX, Poly
 
@@ -117,7 +117,7 @@ def test_degree_one_dimension_linear_rank_oracle():
                 c = (1 if f & 1 else 0) - (1 if f >> (j - 1) & 1 else 0)
                 row.append(Fraction(c))
             rows.append(row)
-        rel_rank = ExactMatrix.from_rows(rationals(), rows).rank()
+        rel_rank = bareiss_rank(rows)
         assert ring.graded_dimension(1) == nv - rel_rank
         if m.n == 6:  # the wheel on four vertices
             assert rel_rank == 5
@@ -392,7 +392,7 @@ def dense_kahler(ring, k, ell):
     else:
         images = [(b * ell_pr).coords for b in basis_k]
         map_rows = [[v[s] for v in images] for s in range(target_dim)]
-        kernel = ExactMatrix.from_rows(rationals(), map_rows).kernel_basis()
+        kernel = kernel_basis(rationals(), map_rows)
     sign = -1 if k % 2 else 1
     mk = [
         [sum(mat2[a][b] * v[b] for b in range(dim)) for v in kernel]
@@ -404,11 +404,11 @@ def dense_kahler(ring, k, ell):
     ]
 
     def full_rank(rows):
-        return len(ExactMatrix.from_rows(rationals(), rows)._echelon()[1]) == dim
+        return len(echelon(rationals(), rows)[1]) == dim
 
     def minors_positive(rows):
         return all(
-            ExactMatrix.from_rows(rationals(), [r[:n] for r in rows[:n]]).det() > 0
+            det(rationals(), [r[:n] for r in rows[:n]]) > 0
             for n in range(1, len(rows) + 1)
         )
 

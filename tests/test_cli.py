@@ -301,6 +301,49 @@ def test_chow_kahler_uniform_5_7(capsys):
     )
 
 
+# SHA-256 of `mw chow --name N --k K --ell E --format json`, taken from the
+# report of the dense eliminations that the sparse echelon replaced.
+# uniform(5,6) at k = 2 takes the kernel of a 51 x 161 map.
+KAHLER_DIGESTS = [
+    ("fano", 0, "alpha", "afde40eefb9ad44c25dfb1d9009af9b8ab1ed548c9d454b576a97cd890bf5e72"),
+    ("fano", 0, "beta", "cbcee9f2f097505857cb40a493ddb7c8ba00b9020a8aaeb325469cc65b4713a2"),
+    ("fano", 1, "alpha", "75afbf33f0d96c5a861b7dc440455b8a23e16742e4ae21f74bae1fbc59bc6080"),
+    ("fano", 1, "beta", "39c1527aa8c557501c370c1c23ace8058913c55cbbff5d0da4644827ea4ab8c1"),
+    ("non_fano", 0, "alpha", "afde40eefb9ad44c25dfb1d9009af9b8ab1ed548c9d454b576a97cd890bf5e72"),
+    ("non_fano", 0, "beta", "91c7579c5dd8c617b8d6c049cda07906a2a0ce052dd368223db534302e491181"),
+    ("non_fano", 1, "alpha", "1dacd4151a993a12170e71847a2d9d1f445ff8ab3f36f6bc9d2fcaf28e6868a9"),
+    ("non_fano", 1, "beta", "14953670af798aca3ac936c89362c53be9eac67a36a120016bd196019f07ebdb"),
+    ("vamos", 0, "alpha", "a3374cfa42e3c7835806aa0f00ce24b1cbab6f6ce0689d36369b1ba972d0d54e"),
+    ("vamos", 0, "beta", "012eada894a655cc55bbb1c259016b28b3b315b852accc0e2e2b856c0ef2c9fc"),
+    ("vamos", 1, "alpha", "a773a45480f4d0ec5e8f33aa6b6c9e6d3df9ebefaa736c29501a8146750f1e92"),
+    ("vamos", 1, "beta", "1b62631c294f274146137bd0d136194a5748b49d929410473929336287aa2ee0"),
+    ("moebius_kantor", 0, "alpha", "afde40eefb9ad44c25dfb1d9009af9b8ab1ed548c9d454b576a97cd890bf5e72"),
+    ("moebius_kantor", 0, "beta", "ad4844058dd5ab64985e3d742ae0e58718a5fca374383b2e134c96e469556e40"),
+    ("moebius_kantor", 1, "alpha", "b56ee0d9cc76bfc254830afa29583c64942a941e980fd73c535fbb2dba089496"),
+    ("moebius_kantor", 1, "beta", "f6cae2e465de385f6f6bef3f315c66fda1b22ba26517921c2f0ffa8f504fb27a"),
+    ("pappus", 0, "alpha", "afde40eefb9ad44c25dfb1d9009af9b8ab1ed548c9d454b576a97cd890bf5e72"),
+    ("pappus", 0, "beta", "e2160e9b18b301812699356caef32147747b1a8cbdbfc76e3cd22ab786f41a9f"),
+    ("pappus", 1, "alpha", "24e16a93909759981a2cf1a6a422b931e2ab74d92aba5738683605ceeafad9da"),
+    ("pappus", 1, "beta", "836709803ac1d12bfec5437d9f848149950ba49614e75cabe11a35007b909964"),
+    ("k4", 0, "alpha", "afde40eefb9ad44c25dfb1d9009af9b8ab1ed548c9d454b576a97cd890bf5e72"),
+    ("k4", 0, "beta", "96d54264074b836ff51f74a14ccea90f46505ab17677a8b92c59014aae8a8cc0"),
+    ("k4", 1, "alpha", "3791f0592842ccedaecfff79bffbfb592f46ec55a4145b8a15c1d0589ff99830"),
+    ("k4", 1, "beta", "3f9ea691c23f2551f4b27db2bc3fcb19ae57f3dc0eb075ab55c456aa9d4f1733"),
+    ("uniform(5,6)", 2, "alpha", "f949423e284538749ed36e6395d055c34ce7005ab3579fcac7241b17aa564478"),
+    ("uniform(5,6)", 2, "beta", "d8ec459db11b0c86f6404ee06590b1f8adf2520e63022410225c2b7c8389a716"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,ell,digest", KAHLER_DIGESTS, ids=[f"{n}-{k}-{e}" for n, k, e, _ in KAHLER_DIGESTS]
+)
+def test_chow_kahler_json_bytes(capsys, name, k, ell, digest):
+    argv = ["chow", "--name", name, "--k", str(k), "--ell", ell, "--format", "json"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of `mw realization --name N --char C [--no-simplify] --format json`.
 # Pappus is pinned simplified only: unsimplified in characteristic 0 it
 # takes about a minute.

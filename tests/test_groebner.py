@@ -14,7 +14,7 @@ import pytest
 
 from matroidworks import groebner, realization
 from matroidworks.catalog import fano, graphic_k4, moebius_kantor, non_fano, pappus, vamos
-from matroidworks.errors import DegreeBudgetExceeded, RingMismatch, budget
+from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch, budget
 from matroidworks.fields import prime_field, rationals
 from matroidworks.groebner import (
     Ideal,
@@ -29,6 +29,7 @@ from matroidworks.groebner import (
 )
 from matroidworks.polynomials import (
     DEGREVLEX,
+    ELIMINATE_FIRST,
     PolynomialRing,
     exact_divide,
     poly_sort_key,
@@ -81,6 +82,17 @@ def test_normal_form_example():
     gb = buchberger(Ideal(ring, [x * x - x + ring.one()]))
     nf = normal_form(x * x * y, gb.elements)
     assert poly_str(nf) == "x*y - y"
+
+
+def test_normal_form_takes_a_degrevlex_basis_and_refuses_others():
+    ring = ring_xy()
+    x, y = ring.gens()
+    gb = buchberger(Ideal(ring, [x * x - y]))
+    assert normal_form(x**3, gb) == normal_form(x**3, gb.elements)
+    assert poly_str(normal_form(x**3, gb)) == "x*y"
+    # the remainder modulo a basis in another order is no normal form
+    with pytest.raises(InputError):
+        normal_form(x**3, buchberger(Ideal(ring, [x * x - y]), ELIMINATE_FIRST))
 
 
 def test_cyclic3():

@@ -1,11 +1,15 @@
-"""Exact linear algebra against permanent-style oracles."""
+"""Exact linear algebra against permanent-style oracles and the dense
+eliminations of ``dense_linalg``."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from dense_linalg import bareiss_rank, det, echelon, kernel_basis
 
+from matroidworks import chow
+from matroidworks.catalog import catalog, catalog_names
 from matroidworks.errors import InputError, NotSymmetric
 from matroidworks.fields import prime_field, rationals
 from matroidworks.linalg import ExactMatrix, MinorOracle
@@ -33,10 +37,7 @@ def leibniz_det(rows):
 
 def leading_principal_minors(m: ExactMatrix) -> list:
     """The n leading principal minors, each by its own determinant."""
-    return [
-        ExactMatrix(m.field, tuple(tuple(r[:k]) for r in m.rows[:k])).det()
-        for k in range(1, m.nrows + 1)
-    ]
+    return [det(m.field, [r[:k] for r in m.rows[:k]]) for k in range(1, m.nrows + 1)]
 
 
 def random_matrix(rng, nr, nc, lo=-5, hi=5):
@@ -48,8 +49,7 @@ def test_det_matches_leibniz():
     for n in (1, 2, 3, 4):
         for _ in range(25):
             rows = random_matrix(rng, n, n)
-            m = ExactMatrix.from_rows(Q, rows)
-            assert m.det() == leibniz_det(rows)
+            assert det(Q, rows) == leibniz_det(rows)
 
 
 def test_det_multiplicative_and_transpose():
@@ -61,12 +61,8 @@ def test_det_multiplicative_and_transpose():
             [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        ma = ExactMatrix.from_rows(Q, a)
-        mb = ExactMatrix.from_rows(Q, b)
-        mp = ExactMatrix.from_rows(Q, prod)
-        assert mp.det() == ma.det() * mb.det()
-        transposed = ExactMatrix.from_rows(Q, [list(col) for col in zip(*a)])
-        assert transposed.det() == ma.det()
+        assert det(Q, prod) == det(Q, a) * det(Q, b)
+        assert det(Q, [list(col) for col in zip(*a)]) == det(Q, a)
 
 
 def test_rank_and_kernel():
@@ -90,7 +86,7 @@ def test_rank_and_kernel():
 def test_rank_drops_on_dependent_rows():
     m = ExactMatrix.from_rows(Q, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == 2
-    assert m.det() == 0
+    assert det(Q, m.rows) == 0
 
 
 def test_positive_definite():
@@ -123,7 +119,7 @@ def test_positive_definite():
         if v == (0, 0, 0):
             continue
         val = sum(
-            Fraction(v[i]) * ind.entry(i, j) * v[j]
+            Fraction(v[i]) * ind.rows[i][j] * v[j]
             for i in range(3)
             for j in range(3)
         )
@@ -230,35 +226,111 @@ def test_rank_matches_echelon_pivots():
     for rows in rectangular_cases(rng):
         m = ExactMatrix.from_rows(Q, rows)
         r = m.rank()
-        assert r == len(m._echelon()[1]), rows
+        assert r == len(echelon(Q, rows)[1]) == bareiss_rank(rows), rows
         full = min(m.nrows, m.ncols)
         seen.add("zero" if r == 0 else "full" if r == full else "deficient")
     assert seen == {"zero", "full", "deficient"}
 
 
-def test_rank_over_prime_field_uses_echelon(monkeypatch):
-    calls = []
-    echelon = ExactMatrix._echelon
+def sparse_echelon_cases(rng):
+    """Seeded rational matrices up to 12 x 12: dense and sparse ones, low
+    rank ones, ones with repeated or combined rows, integer and fractional."""
+    for _ in range(300):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        den = rng.choice((1, 1, 6))
+        zeros = rng.choice((0.0, 0.5, 0.9))
 
-    def counted(self):
-        calls.append(self.field)
-        return echelon(self)
+        def entry():
+            if rng.random() < zeros:
+                return Fraction(0)
+            return Fraction(rng.randint(-6, 6), rng.randint(1, den))
 
-    monkeypatch.setattr(ExactMatrix, "_echelon", counted)
+        if rng.random() < 0.4:
+            r = rng.randint(0, min(nr, nc))
+            left = [[entry() for _ in range(r)] for _ in range(nr)]
+            right = [[entry() for _ in range(nc)] for _ in range(r)]
+            rows = [
+                [sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(nc)]
+                for i in range(nr)
+            ]
+        else:
+            rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+            for i in range(1, nr):
+                if rng.random() < 0.3:
+                    a, b = rng.randrange(i), rng.randrange(i)
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    rows[i] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        yield rows
+
+
+def kahler_matrices(monkeypatch):
+    """Every matrix kahler_report ranks or takes the kernel of at k = 1,
+    with alpha and beta, on the catalog matroids and U(4,6)."""
+    names = [n for n in catalog_names() if "(" not in n] + ["uniform(4,6)"]
+    rings = [chow.chow_ring(catalog(name)) for name in names]
+    seen = []
+
+    def spy(method):
+        def wrapped(self):
+            seen.append((method.__name__, self.rows))
+            return method(self)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "rank", spy(ExactMatrix.rank))
+        patch.setattr(ExactMatrix, "kernel_basis", spy(ExactMatrix.kernel_basis))
+        for ring in rings:
+            for ell in (chow.alpha_element(ring), chow.beta_element(ring)):
+                chow.kahler_report(ring, 1, ell)
+    return seen
+
+
+def test_sparse_echelon_matches_dense_oracles(monkeypatch):
+    rng = random.Random(2718)
+    kinds = set()
+    for rows in sparse_echelon_cases(rng):
+        m = ExactMatrix.from_rows(Q, rows)
+        r = m.rank()
+        assert r == bareiss_rank(rows) == len(echelon(Q, rows)[1]), rows
+        assert m.kernel_basis() == kernel_basis(Q, rows), rows
+        kinds.add("deficient" if r < min(m.nrows, m.ncols) else "full")
+        kinds.add("fractional" if any(v.denominator > 1 for row in rows for v in row) else "integral")
+    assert kinds == {"deficient", "full", "fractional", "integral"}
+    # Mat1, Mat2 and the kernel map of each report, with int entries
+    seen = kahler_matrices(monkeypatch)
+    assert [name for name, _ in seen] == ["rank", "rank", "kernel_basis"] * 7 * 2
+    for name, rows in seen:
+        assert all(type(v) is int for row in rows for v in row)
+        if name == "rank":
+            assert ExactMatrix(Q, rows).rank() == bareiss_rank(rows)
+        else:
+            assert ExactMatrix(Q, rows).kernel_basis() == kernel_basis(Q, rows)
+
+
+def test_rank_over_prime_field_uses_echelon():
     f5 = prime_field(5)
     # rows 2 and 3 are 2 and 3 times row 1 mod 5; over Q the det is -25
-    assert ExactMatrix.from_rows(f5, [[1, 2, 3], [2, 4, 1], [3, 1, 4]]).rank() == 1
-    assert calls == [f5]
-    assert ExactMatrix.from_rows(Q, [[1, 2, 3], [2, 4, 1], [3, 1, 4]]).rank() == 3
-    assert calls == [f5]
+    rows = [[1, 2, 3], [2, 4, 1], [3, 1, 4]]
+    assert ExactMatrix.from_rows(f5, rows).rank() == 1
+    assert ExactMatrix.from_rows(Q, rows).rank() == 3
+    rng = random.Random(55)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randrange(5) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.5:
+            rows[-1] = [(2 * a + 3 * b) % 5 for a, b in zip(rows[0], rows[-2])]
+        expect = len(echelon(f5, rows)[1])
+        assert ExactMatrix.from_rows(f5, rows).rank() == expect, rows
 
 
 def test_finite_field_matrices():
     f5 = prime_field(5)
     m = ExactMatrix.from_rows(f5, [[1, 2], [3, 4]])
-    assert m.det() == f5.coerce(-2)
+    assert det(f5, m.rows) == f5.coerce(-2)
     assert m.rank() == 2
     assert ExactMatrix.from_rows(f5, [[1, 2], [2, 4]]).rank() == 1
+    with pytest.raises(InputError):
+        m.kernel_basis()
 
 
 def test_minor_oracle_matches_leibniz():
@@ -287,5 +359,5 @@ def test_minor_oracle_matches_leibniz():
 def test_shape_errors():
     with pytest.raises(InputError):
         ExactMatrix.from_rows(Q, [[1, 2], [3]])
-    with pytest.raises(InputError):
-        ExactMatrix.from_rows(Q, [[1, 2]]).det()
+    with pytest.raises(NotSymmetric):
+        ExactMatrix.from_rows(Q, [[1, 2]]).is_positive_definite()
