@@ -354,7 +354,7 @@ class ChowElement:
     def __init__(self, ring: ChowRing, degree: int, coords, flat_coeffs=None):
         self.ring = ring
         self.degree = degree
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         self.flat_coeffs = flat_coeffs
         if len(self.coords) != ring.graded_dimension(degree):
             raise WrongDegree(

@@ -1,16 +1,17 @@
 """Tutte, characteristic, and chromatic polynomials; log-concavity; Ingleton.
 
 All coefficients are plain Python integers.  The Tutte polynomial comes
-from the corank-nullity subset sum up to n = 20 and falls back to
-deletion-contraction above that.  The subset sum reads one rank table,
-filled by a dynamic program over subsets, and expands each term once per
-(rank, size) cell.  The characteristic polynomial is the specialization
-chi(q) = (-1)^r T(1-q, 0); the tests check it against the direct signed
-subset sum.
+from the corank-nullity subset sum up to n = 20 (SUBSET_RANK_LIMIT) and
+falls back to deletion-contraction above that.  The subset sum counts the
+(rank, size) cells of the matroid's cached subset-rank table
+(``matroid.subset_rank_table``) and expands each term once per cell.  The
+characteristic polynomial is the specialization chi(q) = (-1)^r T(1-q, 0);
+the tests check it against the direct signed subset sum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
@@ -21,9 +22,14 @@ from .errors import (
     SearchBudgetExceeded,
     current_budget,
 )
-from .matroid import Matroid, _component_count, mask_elements, matroid_from_graph
-
-SUBSET_SUM_LIMIT = 20
+from .matroid import (
+    SUBSET_RANK_LIMIT,
+    Matroid,
+    _component_count,
+    _popcounts,
+    mask_elements,
+    matroid_from_graph,
+)
 
 
 class UniPoly:
@@ -205,41 +211,15 @@ class BiPoly:
         return f"BiPoly({self.render()})"
 
 
-def _rank_table(m: Matroid) -> bytearray:
-    """rank(S) for every subset mask S.
-
-    An independent S has rank |S|.  A dependent S contains a circuit, and
-    dropping an element of that circuit keeps the rank, while no deletion
-    raises it; so rank(S) is the largest rank(S - e) over e in S.
-    """
-    indep = m._independent_masks()
-    ranks = bytearray(1 << m.n)
-    for s in range(1, 1 << m.n):
-        if s in indep:
-            ranks[s] = s.bit_count()
-            continue
-        best = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            if ranks[s ^ low] > best:
-                best = ranks[s ^ low]
-            rest ^= low
-        ranks[s] = best
-    return ranks
-
-
 def _tutte_subset_sum(m: Matroid) -> BiPoly:
     """Sum of (x-1)^(r - r(S)) (y-1)^(|S| - r(S)) over all subsets S.
 
     The term depends only on (r(S), |S|), so subsets are first counted per
-    cell and each cell's product is expanded once, by the binomial theorem.
+    cell, from the matroid's subset-rank table, and each cell's product is
+    expanded once, by the binomial theorem.
     """
     r = m.rank
-    hist: dict = {}
-    for s, rs in enumerate(_rank_table(m)):
-        key = (rs, s.bit_count())
-        hist[key] = hist.get(key, 0) + 1
+    hist = Counter(zip(m._rank_table(), _popcounts(m.n)))
     acc: dict = {}
     for (rs, size), count in hist.items():
         a, b = r - rs, size - rs
@@ -276,7 +256,7 @@ def _tutte_deletion_contraction(m: Matroid, memo: dict) -> BiPoly:
 
 
 def tutte_polynomial(m: Matroid) -> BiPoly:
-    if m.n <= SUBSET_SUM_LIMIT:
+    if m.n <= SUBSET_RANK_LIMIT:
         return _tutte_subset_sum(m)
     return _tutte_deletion_contraction(m, {})
 

@@ -4,6 +4,13 @@ Subsets are stored as int bitmasks (element e <-> bit e-1), which keeps every
 ground set with n <= 63 cheap to hash and intersect.  The canonical order on a
 family of subsets is lexicographic on the sorted element tuples, so ``{1,4}``
 sorts before ``{2,3}``.
+
+Up to n = SUBSET_RANK_LIMIT a matroid has one subset-rank table, a bytearray
+holding r(S) = max_B |S & B| for every subset mask S.  It is built once and
+cached: by ``matroid_from_bases`` when it validates through the table, and
+otherwise on first use.  The flats, the Tutte subset sum and every rank
+lookup read it.  Larger ground sets fall back to greedy ranks and the
+closure search.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ from .errors import (
 )
 
 MAX_GROUND = 63
+# Largest ground set with a subset-rank table: 2^20 bytes, and about n times
+# that while the table is checked.
+SUBSET_RANK_LIMIT = 20
 
 
 def mask_of(elements: Iterable[int], n: int) -> int:
@@ -94,11 +104,13 @@ class Matroid:
 
     Construct through :func:`matroid_from_bases` (validates the exchange
     axiom) or the other ``matroid_from_*`` helpers.  Derived data (independent
-    sets, rank table, flats, circuits) is computed lazily and cached; all
-    operations returning matroids build fresh objects.
+    sets, subset-rank table, flats, circuits) is computed lazily and cached;
+    all operations returning matroids build fresh objects.
     """
 
-    __slots__ = ("n", "bases", "rank", "_indep", "_flats", "_flat_levels", "_circuits")
+    __slots__ = (
+        "n", "bases", "rank", "_indep", "_ranks", "_flats", "_flat_levels", "_circuits"
+    )
 
     def __init__(self, n: int, basis_masks: tuple[int, ...], _validated: bool = False):
         if not _validated:
@@ -107,6 +119,7 @@ class Matroid:
         self.bases = basis_masks
         self.rank = basis_masks[0].bit_count() if basis_masks else 0
         self._indep: Optional[frozenset[int]] = None
+        self._ranks: Optional[bytearray] = None
         self._flats = None
         self._flat_levels = None
         self._circuits = None
@@ -153,11 +166,17 @@ class Matroid:
             self._indep = frozenset(seen)
         return self._indep
 
-    def is_independent(self, mask: int) -> bool:
-        return mask in self._independent_masks()
+    def _rank_table(self) -> Optional[bytearray]:
+        """The subset-rank table, built once; None past SUBSET_RANK_LIMIT."""
+        if self._ranks is None and self.n <= SUBSET_RANK_LIMIT:
+            self._ranks = subset_rank_table(self.n, self.bases, self.rank)
+        return self._ranks
 
     def rank_of(self, mask: int) -> int:
-        """Rank of a subset: size of a greedily grown independent subset."""
+        """Rank of a subset: read off the table when it is built, else the
+        size of a greedily grown independent subset."""
+        if self._ranks is not None:
+            return self._ranks[mask]
         cur = 0
         mm = mask
         indep = self._independent_masks()
@@ -191,51 +210,51 @@ class Matroid:
     def flats(self, rank: Optional[int] = None) -> SubsetFamily:
         """All flats; optionally only those of one rank.
 
-        The closure search adds one element at a time, so its k-th level
-        holds exactly the flats of rank k.
+        With the subset-rank table, S is a flat of rank r(S) when every
+        e outside S has r(S + e) > r(S).  Past the table's limit a closure
+        search adds one element at a time, so its k-th level holds exactly
+        the flats of rank k.
         """
         if self._flats is None:
-            current = {self.closure(0)}
-            all_flats = set(current)
-            levels = []
-            while current:
-                levels.append(SubsetFamily(self.n, current))
-                nxt = set()
-                for f in current:
-                    rest = self.ground_mask & ~f
-                    while rest:
-                        low = rest & -rest
-                        g = self.closure(f | low)
-                        nxt.add(g)
-                        rest &= ~low
-                nxt -= all_flats
-                all_flats |= nxt
-                current = nxt
-            self._flats = SubsetFamily(self.n, all_flats)
-            self._flat_levels = tuple(levels)
+            ranks = self._rank_table()
+            if ranks is None:
+                levels = self._closure_search()
+            else:
+                levels = _flat_levels(ranks, self.n, self.rank)
+            self._flat_levels = tuple(SubsetFamily(self.n, level) for level in levels)
+            self._flats = SubsetFamily(self.n, [f for level in levels for f in level])
         if rank is None:
             return self._flats
         if 0 <= rank < len(self._flat_levels):
             return self._flat_levels[rank]
         return SubsetFamily(self.n, ())
 
+    def _closure_search(self) -> list[set[int]]:
+        """The flats of each rank, from the closures of f + e over the flats
+        f one rank lower."""
+        bits = [1 << e for e in range(self.n)]
+        current = {self.closure(0)}
+        seen = set(current)
+        levels = []
+        while current:
+            levels.append(current)
+            current = {self.closure(f | b) for f in current for b in bits if not f & b} - seen
+            seen |= current
+        return levels
+
     def circuits(self) -> SubsetFamily:
-        """Minimal dependent sets, found by a popcount-ordered scan."""
+        """Minimal dependent sets: the dependent sets C with every C - e
+        independent."""
         if self._circuits is None:
             indep = self._independent_masks()
+            bits = [1 << e for e in range(self.n)]
             found: list[int] = []
-            # any dependent set of size rank+1 contains a circuit, so the scan
-            # can stop once subsets would exceed rank+1 elements
+            # a circuit has at most rank + 1 elements
             for size in range(1, self.rank + 2):
-                for combo in itertools.combinations(range(1, self.n + 1), size):
-                    m = 0
-                    for e in combo:
-                        m |= 1 << (e - 1)
-                    if m in indep:
-                        continue
-                    if any(c & m == c for c in found):
-                        continue
-                    found.append(m)
+                for combo in itertools.combinations(bits, size):
+                    m = sum(combo)
+                    if m not in indep and all(m ^ b in indep for b in combo):
+                        found.append(m)
             self._circuits = SubsetFamily(self.n, found)
         return self._circuits
 
@@ -299,6 +318,116 @@ def _relabel_to_prefix(n: int, basis_masks: Iterable[int], keep: int) -> Matroid
     return Matroid(k, tuple(sorted(out, key=mask_elements)), _validated=True)
 
 
+# -- the subset-rank table --------------------------------------------------
+#
+# The table is built and checked in "spread" vectors: 2^n bytes read as one
+# little-endian int, byte S holding the value at subset mask S.  Shifting
+# right by 8 * 2^e moves the value at S + e to S, so one shift and one AND act
+# on all 2^n subsets at once.
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+
+
+def _equal_to(k: int) -> bytes:
+    """Translation table sending byte k to 1 and every other byte to 0."""
+    return bytes(v == k for v in range(256))
+
+
+def _popcounts(n: int) -> bytearray:
+    """|S| for every subset mask S of {1..n}."""
+    out = bytearray(1)
+    for _ in range(n):
+        out += out.translate(_PLUS_ONE)
+    return out
+
+
+def _missing(n: int, e: int) -> int:
+    """Spread 0/1 vector of the subsets without bit e."""
+    block = b"\x01" * (1 << e) + bytes(1 << e)
+    return int.from_bytes(block * (1 << (n - 1 - e)), "little")
+
+
+def subset_rank_table(n: int, masks: Iterable[int], rank: int) -> bytearray:
+    """r(S) = max |S & B| over the masks B, all of size rank, for every
+    subset mask S of {1..n}.
+
+    r(S) >= k exactly when S contains a k-set of the downward closure of
+    the masks, so level k is the upward closure of those k-sets and r(S)
+    is the number of levels that hold S.
+    """
+    size = 1 << n
+    family = bytearray(size)
+    for m in masks:
+        family[m] = 1
+    missing = [_missing(n, e) for e in range(n)]
+    down = int.from_bytes(family, "little")
+    for e, miss in enumerate(missing):
+        down |= (down & ~miss) >> (8 << e)
+    popcounts = _popcounts(n)
+    total = 0
+    for k in range(1, rank + 1):
+        up = down & int.from_bytes(popcounts.translate(_equal_to(k)), "little")
+        for e, miss in enumerate(missing):
+            up |= (up & miss) << (8 << e)
+        total += up
+    return bytearray(total.to_bytes(size, "little"))
+
+
+def _rank_keepers(ranks: bytearray, n: int, rank: int):
+    """The non-spanning rank levels, as spread 0/1 vectors, and for each
+    element e the spread vector of L_e: the non-spanning S without e that
+    have r(S + e) = r(S)."""
+    levels = [int.from_bytes(ranks.translate(_equal_to(k)), "little") for k in range(rank)]
+    keepers = []
+    for e in range(n):
+        shift = 8 << e
+        keep = 0
+        for level in levels:
+            keep |= level & (level >> shift)
+        keepers.append(keep & _missing(n, e))
+    return levels, keepers
+
+
+def _is_rank_function(ranks: bytearray, n: int, rank: int) -> bool:
+    """Whether the table of a family is a matroid rank function.
+
+    r(empty) = 0 and r(S) <= r(S + e) <= r(S) + 1 hold by construction, so
+    only local submodularity is left (Oxley, Matroid Theory, 1.3): when
+    r(S + e) = r(S + f) = r(S), also r(S + e + f) = r(S).  A spanning S
+    passes at once, so the test reads S in L_e and L_f and asks that S + e
+    be in L_f.
+    """
+    _, keepers = _rank_keepers(ranks, n, rank)
+    for e in range(n):
+        shift = 8 << e
+        for f in range(e + 1, n):
+            if keepers[e] & keepers[f] & ~(keepers[f] >> shift):
+                return False
+    return True
+
+
+def _flat_levels(ranks: bytearray, n: int, rank: int) -> list[list[int]]:
+    """The flats of each rank: the S with no e outside keeping r(S + e) =
+    r(S).  The ground set is the one spanning flat."""
+    levels, keepers = _rank_keepers(ranks, n, rank)
+    loose = 0
+    for keep in keepers:
+        loose |= keep
+    size = 1 << n
+    out = [
+        list(itertools.compress(range(size), (level & ~loose).to_bytes(size, "little")))
+        for level in levels
+    ]
+    out.append([size - 1])
+    return out
+
+
+def _table_route(n: int, num_bases: int, rank: int) -> bool:
+    """Whether validation checks the subset-rank table (cost about 2^n * n)
+    rather than scanning pairs of bases (cost about |B|^2 * r)."""
+    return n <= SUBSET_RANK_LIMIT and (1 << n) * n <= num_bases * num_bases * rank
+
+
 # -- constructors ----------------------------------------------------------
 
 
@@ -307,6 +436,13 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
 
     Raises EmptyFamily, UnequalBasisSizes, or ExchangeAxiomViolation (with a
     witnessing triple) when the family is not the basis family of a matroid.
+
+    Where the subset-rank table costs no more than the pairwise scan
+    (``_table_route``), the family is accepted when r(S) = max_B |S & B| is
+    a matroid rank function, whose bases are then exactly the family, and
+    the table is kept on the matroid.  Otherwise, and for a family the
+    table rejects, the pairwise scan decides, so the witness is the first
+    failing (A, B, x) in family order on either route.
     """
     fam = SubsetFamily(n, bases)
     if len(fam) == 0:
@@ -314,8 +450,22 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     sizes = {m.bit_count() for m in fam}
     if len(sizes) != 1:
         raise UnequalBasisSizes(f"bases of different sizes: {sorted(sizes)}")
+    rank = sizes.pop()
+    if _table_route(n, len(fam), rank):
+        ranks = subset_rank_table(n, fam.masks, rank)
+        if _is_rank_function(ranks, n, rank):
+            m = Matroid(n, fam.masks, _validated=True)
+            m._ranks = ranks
+            return m
+    _check_exchange(fam)
+    return Matroid(n, fam.masks, _validated=True)
+
+
+def _check_exchange(fam: SubsetFamily) -> None:
+    """Raise ExchangeAxiomViolation at the first (A, B, x) in family order
+    with no y in B - A making A - x + y a basis."""
     basis_set = fam._members
-    ground = (1 << n) - 1
+    ground = (1 << fam.n) - 1
     for a in fam.masks:
         # One mask per x in A, ascending: x itself plus every y outside A
         # with A - x + y a basis.  B passes the exchange test at x exactly
@@ -340,7 +490,6 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
                     raise ExchangeAxiomViolation(
                         mask_elements(a), mask_elements(b), mask_elements(mask & a)[0]
                     )
-    return Matroid(n, fam.masks, _validated=True)
 
 
 def matroid_from_graph(edges: Sequence[tuple[int, int]]) -> Matroid:

@@ -27,7 +27,6 @@ from matroidworks.errors import InputError, LoopPresent, SearchBudgetExceeded, b
 from matroidworks.invariants import (
     BiPoly,
     UniPoly,
-    _rank_table,
     characteristic_polynomial,
     chromatic_polynomial,
     ingleton_violation,
@@ -35,7 +34,12 @@ from matroidworks.invariants import (
     reduced_characteristic_polynomial,
     tutte_polynomial,
 )
-from matroidworks.matroid import mask_elements, matroid_from_bases, matroid_from_graph
+from matroidworks.matroid import (
+    mask_elements,
+    matroid_from_bases,
+    matroid_from_graph,
+    subset_rank_table,
+)
 
 
 def named_catalog():
@@ -123,9 +127,13 @@ def test_tutte_matches_subset_sum_oracle():
 
 
 def test_rank_table_matches_basis_scan():
+    # the table a matroid caches (from validation, or built on first use)
+    # and the table of its bases built afresh
     loopy = matroid_from_bases(5, [[1, 2], [1, 3], [2, 3]])
     for m in named_catalog() + small_uniforms(8) + [loopy]:
-        assert list(_rank_table(m)) == subset_ranks_by_basis_scan(m)
+        expect = subset_ranks_by_basis_scan(m)
+        assert list(m._rank_table()) == expect
+        assert list(subset_rank_table(m.n, m.bases, m.rank)) == expect
 
 
 def test_characteristic_matches_signed_subset_sum():

@@ -29,8 +29,10 @@ from matroidworks.errors import (
 )
 from matroidworks.fields import prime_field
 from matroidworks.matroid import (
+    SUBSET_RANK_LIMIT,
     Matroid,
     SubsetFamily,
+    _table_route,
     mask_elements,
     mask_of,
     matroid_from_bases,
@@ -39,6 +41,8 @@ from matroidworks.matroid import (
     matroid_from_matrix,
     matroid_to_json_dict,
 )
+from test_invariants import relabeled
+from test_realization import desargues
 
 
 def battery():
@@ -76,6 +80,11 @@ def closure_oracle(m, s):
     return out
 
 
+def is_independent(m, s):
+    """Membership in the library's downward closure of the bases."""
+    return s in m._independent_masks()
+
+
 def independent_oracle(m, s):
     return any(b & s == s for b in m.bases)
 
@@ -101,11 +110,16 @@ def exchange_axiom_holds(n, bases):
 
 
 def test_rank_closure_independence_exhaustive():
+    # greedy ranks first, then the same matroid reading its subset-rank table
     for m in battery():
-        for s in all_subsets(m.n):
-            assert m.rank_of(s) == rank_oracle(m, s)
-            assert m.closure(s) == closure_oracle(m, s)
-            assert m.is_independent(s) == independent_oracle(m, s)
+        bare = Matroid(m.n, m.bases, _validated=True)
+        for build_table in (False, True):
+            if build_table:
+                assert bare._rank_table() is not None
+            for s in all_subsets(m.n):
+                assert bare.rank_of(s) == rank_oracle(m, s)
+                assert bare.closure(s) == closure_oracle(m, s)
+                assert is_independent(bare, s) == independent_oracle(m, s)
 
 
 def test_flats_are_exactly_closure_fixed_points():
@@ -130,6 +144,65 @@ def test_flats_by_rank():
         assert sum(len(m.flats(k)) for k in range(m.rank + 1)) == len(every)
         assert len(m.flats(-1)) == 0
         assert len(m.flats(m.rank + 1)) == 0
+
+
+def larger_inputs():
+    k5 = matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))
+    return [uniform(6, 12), desargues(), relabeled(k5, random.Random(5))]
+
+
+def closure_search_levels(m):
+    """The flats of each rank by the closure search: the closures of f + e
+    over the flats f one rank lower, with ranks by basis scan."""
+    rk = [rank_oracle(m, s) for s in all_subsets(m.n)]
+
+    def closure(s):
+        for e in range(m.n):
+            if rk[s | 1 << e] == rk[s]:
+                s |= 1 << e
+        return s
+
+    current = {closure(0)}
+    seen = set(current)
+    levels = []
+    while current:
+        levels.append(sorted(current, key=mask_elements))
+        current = {closure(f | 1 << e) for f in current for e in range(m.n)} - seen
+        seen |= current
+    return levels
+
+
+def circuits_by_scan(m):
+    """Dependent sets by increasing size, kept when no kept set is inside."""
+    found = []
+    for size in range(1, m.n + 1):
+        for combo in itertools.combinations(range(m.n), size):
+            s = sum(1 << e for e in combo)
+            if not independent_oracle(m, s) and not any(c & s == c for c in found):
+                found.append(s)
+    return sorted(found, key=mask_elements)
+
+
+def test_flats_and_circuits_of_larger_inputs():
+    for m in larger_inputs():
+        assert m._ranks is not None  # kept from validation
+        levels = closure_search_levels(m)
+        assert [list(m.flats(k)) for k in range(m.rank + 1)] == levels
+        assert list(m.circuits()) == circuits_by_scan(m)
+
+
+def test_closure_search_matches_table_flats():
+    # the closure search is the flats of ground sets past SUBSET_RANK_LIMIT
+    for m in battery() + larger_inputs():
+        levels = m._closure_search()
+        assert [sorted(level, key=mask_elements) for level in levels] == [
+            list(m.flats(k)) for k in range(m.rank + 1)
+        ]
+    big = matroid_from_bases(SUBSET_RANK_LIMIT + 1, [[1, 2], [1, 3], [2, 3]])
+    assert big._rank_table() is None
+    loops = mask_of(range(4, SUBSET_RANK_LIMIT + 2), big.n)
+    assert set(big.flats()) == {f | loops for f in (0, 1, 2, 4, 7)}
+    assert set(big.flats(1)) == {1 | loops, 2 | loops, 4 | loops}
 
 
 def test_circuits_are_minimal_dependent_sets():
@@ -196,8 +269,8 @@ def test_matrix_matroid_rank_equals_matrix_rank():
     m = matroid_from_matrix(f, [[c[i] for c in cols] for i in range(3)])
     assert m.rank == 3
     # {1,4,2} has a dependency over F_2: col1 + col2 = col4
-    assert not m.is_independent(mask_of([1, 2, 4], 5))
-    assert m.is_independent(mask_of([1, 2, 3], 5))
+    assert not is_independent(m, mask_of([1, 2, 4], 5))
+    assert is_independent(m, mask_of([1, 2, 3], 5))
 
 
 def test_construction_rejections():
@@ -379,6 +452,79 @@ def pairwise_exchange_witness(masks):
     return None
 
 
+def perturbed(m, rng):
+    """The bases of m relabeled, then with one basis fewer and with one extra
+    rank-sized set: mostly invalid, sometimes not."""
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    valid = [sum(1 << perm[e - 1] for e in mask_elements(b)) for b in m.bases]
+    extra = sum(1 << e for e in rng.sample(range(m.n), m.rank))
+    return [valid, valid[:-1] or valid, valid + [extra]]
+
+
+def embedded(m, n, rng):
+    """The bases of m on rng-chosen elements of a ground set of size n."""
+    spots = rng.sample(range(n), m.n)
+    return [sum(1 << spots[e - 1] for e in mask_elements(b)) for b in m.bases]
+
+
+def check_against_pairwise_scan(families):
+    """Validation accepts exactly what the pairwise scan accepts and raises
+    its witness otherwise; returns the set of outcomes seen."""
+    outcomes = set()
+    for n, masks in families:
+        fam = SubsetFamily(n, masks)
+        expect = pairwise_exchange_witness(fam.masks)
+        if expect is None:
+            assert matroid_from_bases(n, masks).bases == fam.masks
+        else:
+            with pytest.raises(ExchangeAxiomViolation) as err:
+                matroid_from_bases(n, masks)
+            assert err.value.witness == expect
+        outcomes.add(expect is None)
+    return outcomes
+
+
+def route(n, masks):
+    sizes = {m.bit_count() for m in masks}
+    return _table_route(n, len(set(masks)), sizes.pop())
+
+
+def test_exchange_validation_on_both_routes():
+    rng = random.Random(12)
+    k5 = matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))
+    binary = [
+        matroid_from_matrix(
+            prime_field(2), [[rng.randrange(2) for _ in range(n)] for _ in range(4)]
+        )
+        for n in (9, 10, 10, 11)
+    ]
+    table = []
+    for m in [pappus(), desargues(), k5, uniform(4, 9), uniform(3, 10)] + binary:
+        table += [(m.n, masks) for masks in perturbed(m, rng)]
+    for _ in range(60):
+        n = rng.randint(9, 12)
+        k = rng.randint(3, n - 3)
+        ksets = [sum(1 << e for e in c) for c in itertools.combinations(range(n), k)]
+        least = int(((1 << n) * n / k) ** 0.5) + 1
+        table.append((n, rng.sample(ksets, rng.randint(least, min(len(ksets), 3 * least)))))
+    scan = []
+    for _ in range(60):
+        n = rng.randint(16, 20)
+        k = rng.randint(1, 4)
+        scan.append((n, [sum(1 << e for e in rng.sample(range(n), k)) for _ in range(rng.randint(1, 12))]))
+    for m in [uniform(2, 4), uniform(1, 5), uniform(3, 5), uniform(2, 5)]:
+        for n in (16, 20):
+            valid = embedded(m, n, rng)
+            extra = sum(1 << e for e in rng.sample(range(n), m.rank))
+            scan += [(n, valid), (n, valid[:-1] or valid), (n, valid + [extra])]
+    table = [(n, masks) for n, masks in table if route(n, masks)]
+    assert len(table) > 80
+    assert not any(route(n, masks) for n, masks in scan)
+    assert check_against_pairwise_scan(table) == {True, False}
+    assert check_against_pairwise_scan(scan) == {True, False}
+
+
 def test_exchange_validation_matches_pairwise_scan():
     rng = random.Random(11)
     families = []
@@ -401,18 +547,7 @@ def test_exchange_validation_matches_pairwise_scan():
         k = rng.randint(2, n - 2)
         ksets = [sum(1 << e for e in c) for c in itertools.combinations(range(n), k)]
         families.append((n, rng.sample(ksets, rng.randint(1, len(ksets)))))
-    outcomes = set()
-    for n, masks in families:
-        fam = SubsetFamily(n, masks)
-        expect = pairwise_exchange_witness(fam.masks)
-        if expect is None:
-            assert matroid_from_bases(n, masks).bases == fam.masks
-        else:
-            with pytest.raises(ExchangeAxiomViolation) as err:
-                matroid_from_bases(n, masks)
-            assert err.value.witness == expect
-        outcomes.add(expect is None)
-    assert outcomes == {True, False}
+    assert check_against_pairwise_scan(families) == {True, False}
 
 
 def test_subset_family_canonical_order():
