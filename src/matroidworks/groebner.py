@@ -18,6 +18,8 @@ primitive whether a coefficient is a unit.
 Everything runs in degrevlex except the Rabinowitsch step of saturation,
 which eliminates its auxiliary first variable in the block order
 ELIMINATE_FIRST.  So only buchberger and what it calls take an order.
+saturate runs that step once per inequation, not once by their product,
+and returns the last step's t-free elements as its reduced basis.
 """
 
 from __future__ import annotations
@@ -338,8 +340,6 @@ def reduce_inequations(
 # -- saturation ------------------------------------------------------------
 
 _AUX_NAME = "_t"
-PRODUCT_TERM_CAP = 4000
-PRODUCT_DEGREE_CAP = 48
 
 
 def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
@@ -362,7 +362,9 @@ def _project(p: Poly, ring: PolynomialRing) -> Optional[Poly]:
 
 
 def _saturate_by_one(gens: Sequence[Poly], u: Poly) -> list[Poly]:
-    """Generators of (gens) : u^inf via the Rabinowitsch trick."""
+    """The reduced degrevlex basis of (gens) : u^inf, by the Rabinowitsch
+    trick: the t-free elements of the reduced ELIMINATE_FIRST basis of
+    (gens, t*u - 1), in their order there."""
     ring = u.ring
     ring2 = _extended_ring(ring)
     t = ring2.var(0)
@@ -378,18 +380,26 @@ def _saturate_by_one(gens: Sequence[Poly], u: Poly) -> list[Poly]:
 
 
 def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
-    """The saturation I : u^inf for u the product of the inequations.
+    """The saturation I : u^inf for u the product of the inequations, as its
+    reduced degrevlex basis.
 
     The inequations are first simplified by reduce_inequations modulo a
     Groebner basis of I; if one lies in I the saturation is the unit ideal
     outright, and the zero ideal is its own saturation since the polynomial
-    ring is a domain.  The product trick (one auxiliary variable) is used
-    while the running product stays small; otherwise the engine saturates
-    by the factors one at a time, which computes the identical ideal since
-    I : (uv)^inf = (I : u^inf) : v^inf.
+    ring is a domain.  Then I is saturated by one factor at a time, in that
+    order: I : (uv)^inf = (I : u^inf) : v^inf, and each Rabinowitsch run
+    carries one small factor where the product's terms and degree grow with
+    every factor (1,940 terms in degree 20 for pappus unsimplified).  A unit
+    in any step's result makes the saturation the unit ideal.  The last
+    step's result is returned as it stands: the t-free part of a reduced
+    elimination basis is the reduced basis of the eliminated ideal in the
+    restricted order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    Ch. 3 Sec. 1), so a closing Buchberger run would return it unchanged.
+    The pair_reductions budget caps each Buchberger run, so a saturation by
+    k factors may spend up to k + 1 times that limit.
     """
     ring = ideal.ring
-    gb = buchberger(ideal) if ideal.gens else GroebnerBasis(ring, DEGREVLEX, ())
+    gb = buchberger(ideal)
     if gb.contains_one():
         return Ideal(ring, (ring.one(),))
     if any(u.ring != ring for u in inequations):
@@ -401,29 +411,12 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
     if not factors or not gb.elements:
         # nothing left to invert, or I = 0 in a domain where 0 : u^inf = 0
         return Ideal(ring, gb.elements)
-
-    product: Optional[Poly] = ring.one()
+    result = gb.elements
     for f in factors:
-        product = product * f
-        if (
-            len(product.terms) > PRODUCT_TERM_CAP
-            or product.total_degree() > PRODUCT_DEGREE_CAP
-        ):
-            product = None
-            break
-
-    if product is not None:
-        result = _saturate_by_one(gb.elements, product)
-    else:
-        result = list(gb.elements)
-        for f in factors:
-            result = _saturate_by_one(result, f)
-            if has_unit(result):
-                return Ideal(ring, (ring.one(),))
-    final = buchberger(Ideal(ring, result)) if result else GroebnerBasis(ring, DEGREVLEX, ())
-    if final.contains_one():
-        return Ideal(ring, (ring.one(),))
-    return Ideal(ring, final.elements)
+        result = _saturate_by_one(result, f)
+        if has_unit(result):
+            return Ideal(ring, (ring.one(),))
+    return Ideal(ring, result)
 
 
 # -- linear-variable elimination ------------------------------------------

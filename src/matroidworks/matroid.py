@@ -261,43 +261,37 @@ class Matroid:
     # -- minors and friends ------------------------------------------------
 
     def delete(self, subset: Iterable[int]) -> "Matroid":
+        """M \\ S: the sets B - S of largest size over the bases B."""
         s = mask_of(subset, self.n)
         keep = self.ground_mask & ~s
         if keep == 0:
             return Matroid(0, (0,), _validated=True)
-        r = self.rank_of(keep)
-        indep = self._independent_masks()
-        new_bases = {m for m in indep if m & s == 0 and m.bit_count() == r}
+        new_bases = {b & keep for b in _meeting_most(self.bases, keep)}
         return _relabel_to_prefix(self.n, new_bases, keep)
 
     def contract(self, subset: Iterable[int]) -> "Matroid":
+        """M / S: the sets B - S over the bases B that meet S most."""
         s = mask_of(subset, self.n)
         keep = self.ground_mask & ~s
         if keep == 0:
             return Matroid(0, (0,), _validated=True)
-        # fix the lexicographically first maximal independent subset of s
-        t = 0
-        mm = s
-        indep = self._independent_masks()
-        while mm:
-            low = mm & -mm
-            if (t | low) in indep:
-                t |= low
-            mm &= ~low
-        new_bases = {b & ~s for b in self.bases if b & s == t}
+        new_bases = {b & keep for b in _meeting_most(self.bases, s)}
         return _relabel_to_prefix(self.n, new_bases, keep)
 
     def truncate(self) -> "Matroid":
+        """The truncation: the sets B - e over the bases B and e in B."""
         if self.rank == 0:
             raise InputError("cannot truncate a rank-0 matroid")
-        indep = self._independent_masks()
-        new_bases = tuple(
-            sorted(
-                (m for m in indep if m.bit_count() == self.rank - 1),
-                key=mask_elements,
-            )
+        new_bases = {b & ~(1 << (e - 1)) for b in self.bases for e in mask_elements(b)}
+        return Matroid(
+            self.n, tuple(sorted(new_bases, key=mask_elements)), _validated=True
         )
-        return Matroid(self.n, new_bases, _validated=True)
+
+
+def _meeting_most(bases: tuple[int, ...], s: int) -> list[int]:
+    """The bases B with |B & s| largest: B & s is then a basis of M | s."""
+    r = max((b & s).bit_count() for b in bases)
+    return [b for b in bases if (b & s).bit_count() == r]
 
 
 def _relabel_to_prefix(n: int, basis_masks: Iterable[int], keep: int) -> Matroid:

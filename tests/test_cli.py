@@ -16,6 +16,7 @@ from matroidworks.matroid import (
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
+from test_realization import spy_on_rabinowitsch
 
 CORPUS = str(Path(__file__).parent / "data" / "catalog_corpus.json")
 
@@ -152,6 +153,23 @@ def test_realization_undecided_exit_code(capsys):
     rc, d, _ = run_json(
         capsys, ["realization", "--name", "pappus", "--budget-gb", "1"]
     )
+    assert rc == 3
+    assert d["verdict"] == "Undecided"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--name", "moebius_kantor", "--budget-gb", "1"],
+        ["--name", "vamos", "--no-simplify", "--budget-gb", "5"],
+    ],
+    ids=["moebius_kantor", "vamos-no-simplify"],
+)
+def test_realization_undecided_in_saturation(capsys, monkeypatch, argv):
+    # the budget runs out in a Rabinowitsch run of saturate, not before it
+    tripped = spy_on_rabinowitsch(monkeypatch)
+    rc, d, _ = run_json(capsys, ["realization"] + argv)
+    assert tripped
     assert rc == 3
     assert d["verdict"] == "Undecided"
 
@@ -345,8 +363,6 @@ def test_chow_kahler_json_bytes(capsys, name, k, ell, digest):
 
 
 # SHA-256 of `mw realization --name N --char C [--no-simplify] --format json`.
-# Pappus is pinned simplified only: unsimplified in characteristic 0 it
-# takes about a minute.
 REALIZATION_DIGESTS = [
     ("fano", 0, False, "2be206fe4489ee65e0d1ab371c8291fd0320c18e42e6686fed8fef778fc33cca"),
     ("fano", 2, False, "32ae1488efe0250808df847a0322b3a9ead6e4d04df273697a2e1597284b121e"),
@@ -375,6 +391,9 @@ REALIZATION_DIGESTS = [
     ("pappus", 0, False, "614f239cdd8130090dea41fd91ac9b0bee70e3c20cabe8a8ec36573d13319a23"),
     ("pappus", 2, False, "5a3af2319024945f2528d77d1dace29b4f5e482344296bb52a4dd9c5b83ae636"),
     ("pappus", 3, False, "f84ebe5d9b39b0de74fc42fbcc9e580b43175e7b435a9274c8e246c084e0d40e"),
+    ("pappus", 0, True, "ae7e07261085c2cf91f8fc10c61b45de859c1e92803e64a2159e20575f864db0"),
+    ("pappus", 2, True, "186a15c1f1c1eb7c9df4e9aaaf64a547b4d0341f2aa1eccc7c0757832594aab7"),
+    ("pappus", 3, True, "7e295f157338c18681c7481a29db8c9e2cdfd9b6e534c5471974e55c50758799"),
     ("k4", 0, False, "2a00f959be67ed12a099b4812d55631b6d857670243d67ef831d06856531ac6c"),
     ("k4", 2, False, "1901f53aea141f8cc13927109e7bdb6ea4d37e08b81971ebcb0e650e018876a9"),
     ("k4", 3, False, "82cae51c3e1c14c690e423f878b63950a047dc224adfbaa6cd8688995f6adedb"),

@@ -287,8 +287,8 @@ def test_saturation_contains_ideal_and_certifies():
 
 
 def test_saturation_chained_matches_product():
-    # high-degree inequations overflow the product caps and take the
-    # chained route; the result must agree with the product of small ones
+    # saturating at a power of an inequation gives the same ideal as at the
+    # inequation itself
     ring = ring_xyz()
     x, y, z = ring.gens()
     ideal = Ideal(ring, [x * y * z])
@@ -298,9 +298,11 @@ def test_saturation_chained_matches_product():
 
 
 def rabinowitsch(ring, gens, u):
-    """Reduced basis of (gens) : u^inf through the auxiliary variable."""
-    out = _saturate_by_one(gens, u)
-    return buchberger(Ideal(ring, out)).elements if out else ()
+    """Reduced basis of (gens) : u^inf through the auxiliary variable; the
+    projected elimination basis is already reduced, so Buchberger keeps it."""
+    out = tuple(_saturate_by_one(gens, u))
+    assert buchberger(Ideal(ring, out)).elements == out
+    return out
 
 
 def test_saturation_of_zero_ideal_matches_rabinowitsch():

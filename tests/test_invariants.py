@@ -9,6 +9,7 @@ force enumeration of all colorings on small vertex sets.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from matroidworks.errors import InputError, LoopPresent, SearchBudgetExceeded, b
 from matroidworks.invariants import (
     BiPoly,
     UniPoly,
+    _tutte_deletion_contraction,
+    _tutte_subset_sum,
     characteristic_polynomial,
     chromatic_polynomial,
     ingleton_violation,
@@ -35,6 +38,7 @@ from matroidworks.invariants import (
     tutte_polynomial,
 )
 from matroidworks.matroid import (
+    SUBSET_RANK_LIMIT,
     mask_elements,
     matroid_from_bases,
     matroid_from_graph,
@@ -124,6 +128,23 @@ def test_tutte_matches_subset_sum_oracle():
     loopy = matroid_from_bases(5, [[1, 2], [1, 3], [2, 3]])
     for m in named_catalog() + [uniform(3, 6), uniform(4, 8), loopy]:
         assert tutte_polynomial(m) == tutte_oracle(m)
+
+
+def test_tutte_deletion_contraction_matches_subset_sum():
+    # the recursion is tutte_polynomial's only path past the rank table's
+    # limit; below it, both must give the same polynomial
+    loopy = matroid_from_bases(5, [[1, 2], [1, 3], [2, 3]])
+    for m in named_catalog() + small_uniforms(7) + [loopy]:
+        assert _tutte_deletion_contraction(m, {}) == _tutte_subset_sum(m)
+
+
+@pytest.mark.parametrize("r,n", [(1, 21), (2, 22), (3, 21)])
+def test_tutte_past_the_rank_table(r, n):
+    # T(1, 1) counts the bases; T(2, 2) = 2^n for every matroid
+    assert n > SUBSET_RANK_LIMIT
+    t = tutte_polynomial(uniform(r, n))
+    assert t.evaluate(1, 1) == math.comb(n, r)
+    assert t.evaluate(2, 2) == 2**n
 
 
 def test_rank_table_matches_basis_scan():

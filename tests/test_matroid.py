@@ -365,6 +365,71 @@ def test_truncate():
         matroid_from_bases(2, [0]).truncate()
 
 
+def relabeled_minor(bases, keep):
+    """Bases on the elements of keep, renumbered 1..|keep| in order."""
+    kept = mask_elements(keep)
+    relab = {e: i + 1 for i, e in enumerate(kept)}
+    return Matroid(
+        len(kept),
+        tuple(
+            sorted(
+                {mask_of([relab[e] for e in mask_elements(b)], len(kept)) for b in bases},
+                key=mask_elements,
+            )
+        ),
+        _validated=True,
+    )
+
+
+def delete_by_independent_sets(m, s):
+    """M \\ S as the independent sets of M avoiding S of size r(E - S)."""
+    keep = m.ground_mask & ~s
+    r = rank_oracle(m, keep)
+    indep = m._independent_masks()
+    return relabeled_minor([t for t in indep if t & s == 0 and t.bit_count() == r], keep)
+
+
+def contract_by_independent_sets(m, s):
+    """M / S as B - S over the bases B that contain one fixed maximal
+    independent subset T of S (the lexicographically first)."""
+    indep = m._independent_masks()
+    t = 0
+    for e in range(m.n):
+        if s >> e & 1 and (t | 1 << e) in indep:
+            t |= 1 << e
+    keep = m.ground_mask & ~s
+    return relabeled_minor([b & keep for b in m.bases if b & s == t], keep)
+
+
+def truncate_by_independent_sets(m):
+    indep = m._independent_masks()
+    return relabeled_minor([t for t in indep if t.bit_count() == m.rank - 1], m.ground_mask)
+
+
+def minor_battery():
+    looped = matroid_from_graph([(1, 1), (1, 2), (2, 3), (1, 3), (3, 3), (3, 4)])
+    ms = [catalog(name) for name in catalog_names() if name != "uniform(r,n)"]
+    ms += [uniform(r, n) for n in range(1, 7) for r in range(n + 1)]
+    return ms + [looped]
+
+
+def test_minors_from_bases_match_independent_sets():
+    # delete and contract read the bases meeting a set most, truncate drops
+    # one element of each basis; the oracle enumerates independent sets
+    pairs = 0
+    for m in minor_battery():
+        for s in range(1, 1 << m.n):
+            if s == m.ground_mask:
+                continue
+            combo = mask_elements(s)
+            assert m.delete(combo) == delete_by_independent_sets(m, s)
+            assert m.contract(combo) == contract_by_independent_sets(m, s)
+            pairs += 1
+        if m.rank > 0:
+            assert m.truncate() == truncate_by_independent_sets(m)
+    assert pairs > 2000
+
+
 def count_spanning_forests(nv, edges):
     best = -1
     forests = set()

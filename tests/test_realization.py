@@ -22,7 +22,12 @@ from matroidworks.catalog import (
     uniform,
     vamos,
 )
-from matroidworks.errors import LoopPresent, SearchBudgetExceeded, budget
+from matroidworks.errors import (
+    DegreeBudgetExceeded,
+    LoopPresent,
+    SearchBudgetExceeded,
+    budget,
+)
 from matroidworks.fields import factor_prime_power, field_of_order
 from matroidworks.matroid import (
     Matroid,
@@ -31,7 +36,7 @@ from matroidworks.matroid import (
     matroid_from_matrix,
 )
 from matroidworks.polynomials import poly_str
-from matroidworks import realization
+from matroidworks import groebner, realization
 from matroidworks.realization import (
     UNDECIDED,
     SpaceVerdict,
@@ -146,6 +151,41 @@ def test_simplify_off_agrees_on_verdicts():
         raw = realization_space(m, p, simplify=False)
         assert raw.verdict is expected
         assert raw.substitutions == ()
+
+
+def spy_on_rabinowitsch(monkeypatch):
+    """The inequations whose Rabinowitsch run inside saturate raised
+    DegreeBudgetExceeded, filled in as saturate runs."""
+    tripped = []
+    inner = groebner._saturate_by_one
+
+    def spy(gens, u):
+        try:
+            return inner(gens, u)
+        except DegreeBudgetExceeded:
+            tripped.append(u)
+            raise
+
+    monkeypatch.setattr(groebner, "_saturate_by_one", spy)
+    return tripped
+
+
+@pytest.mark.parametrize(
+    "m,simplify,limit", [(moebius_kantor(), True, 1), (vamos(), False, 5)],
+    ids=["moebius_kantor", "vamos-no-simplify"],
+)
+def test_budget_trips_inside_saturation(monkeypatch, m, simplify, limit):
+    # the limit lets simplification and the basis of the ideal finish, so
+    # the budget runs out in a Rabinowitsch run; the verdict is Undecided
+    # and the presentation is the one the unlimited run reports
+    tripped = spy_on_rabinowitsch(monkeypatch)
+    with budget(pair_reductions=limit):
+        space = realization_space(m, 0, simplify)
+    assert tripped
+    assert space.verdict is SpaceVerdict.UNDECIDED
+    full = realization_space(m, 0, simplify)
+    assert full.verdict is not SpaceVerdict.UNDECIDED
+    assert space == dataclasses.replace(full, verdict=SpaceVerdict.UNDECIDED)
 
 
 def test_find_realization_round_trip():
