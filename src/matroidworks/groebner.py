@@ -10,10 +10,14 @@ cap trips, DegreeBudgetExceeded is raised rather than a wrong basis
 returned.
 
 Inequations (the elements inverted in a localization) are simplified in one
-place, reduce_inequations: normal form, monic, no scalars, sorted without
-repeats, and factors that are other inequations divided out.  saturate uses
-it on its inputs, and eliminate_linear_variables asks the same division
-primitive whether a coefficient is a unit.
+place, reduce_inequations: normal form against one divisor list built per
+call, monic, no scalars, sorted without repeats, and factors that are other
+inequations divided out.  saturate uses it on its inputs.
+eliminate_linear_variables scans the variables from the last and eliminates
+the first one that some generator is linear in with a unit coefficient: a
+scalar one beats a unit one, then the smaller generator wins.  It asks the
+same division primitive whether a coefficient is a unit, and only for a
+variable with no scalar coefficient.
 
 Everything runs in degrevlex except the Rabinowitsch step of saturation,
 which eliminates its auxiliary first variable in the block order
@@ -154,6 +158,21 @@ def _divisors(leading: Iterable[tuple], order: MonomialOrder) -> list[tuple]:
     return divisors
 
 
+def _degrevlex_divisors(basis: Iterable[Poly], ring: PolynomialRing) -> list[tuple]:
+    """The degrevlex divisor list of _reduce_terms for the nonzero elements
+    of basis, which must lie in ring."""
+    if isinstance(basis, GroebnerBasis) and basis.order.block is not None:
+        raise InputError("normal form needs a degrevlex Groebner basis")
+    leading = []
+    for g in basis:
+        if g.is_zero():
+            continue
+        if g.ring != ring:
+            raise RingMismatch("normal form across rings")
+        leading.append((g.leading_exp(DEGREVLEX), g))
+    return _divisors(leading, DEGREVLEX)
+
+
 def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     """Unique remainder of f modulo a (Groebner) basis, in degrevlex.
 
@@ -162,16 +181,7 @@ def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
     GroebnerBasis in another order is refused: its remainder in degrevlex
     is not a normal form.
     """
-    if isinstance(basis, GroebnerBasis) and basis.order.block is not None:
-        raise InputError("normal form needs a degrevlex Groebner basis")
-    leading = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        if g.ring != f.ring:
-            raise RingMismatch("normal form across rings")
-        leading.append((g.leading_exp(DEGREVLEX), g))
-    divisors = _divisors(leading, DEGREVLEX)
+    divisors = _degrevlex_divisors(basis, f.ring)
     return Poly(f.ring, _reduce_terms(f.terms, divisors, DEGREVLEX, f.ring.field))
 
 
@@ -307,16 +317,26 @@ def reduce_inequations(
 ) -> Optional[tuple]:
     """Inequations as semigroup generators of the same localization.
 
-    Each is put in normal form modulo the Groebner basis elements, made
-    monic, and dropped if scalar; the rest are sorted and deduplicated.
-    Then, smallest first, each is divided by the smaller ones that divide
-    it; a quotient that sorts below earlier survivors sends those back to
-    be divided again, and one that becomes scalar is dropped.  Returns None
-    when an inequation lies in the ideal: inverting it leaves nothing.
+    Each is put in normal form modulo the Groebner basis elements (one
+    divisor list for all of them), made monic, and dropped if scalar; the
+    rest are sorted and deduplicated.  Then, smallest first, each is divided
+    by the smaller ones that divide it; a quotient that sorts below earlier
+    survivors sends those back to be divided again, and one that becomes
+    scalar is dropped.  Returns None when an inequation lies in the ideal:
+    inverting it leaves nothing.
     """
+    ineqs = list(ineqs)
+    if not ineqs:
+        return ()
+    ring = ineqs[0].ring
+    divisors = _degrevlex_divisors(gb_elements, ring)
     reduced = []
     for u in ineqs:
-        r = normal_form(u, gb_elements) if gb_elements else u
+        if u.ring != ring:
+            raise RingMismatch("inequations over different rings")
+        r = u
+        if divisors:
+            r = Poly(ring, _reduce_terms(u.terms, divisors, DEGREVLEX, ring.field))
         if r.is_zero():
             return None
         if not r.is_constant():
@@ -469,20 +489,31 @@ def _substitute_cleared(h: Poly, x: int, num: Poly, den: Poly) -> Poly:
         ne = tuple(0 if i == x else v for i, v in enumerate(e))
         layer = layers.setdefault(k, {})
         layer[ne] = c
-    num_pow = {0: ring.one()}
-    den_pow = {0: ring.one()}
-
-    def powered(cache, base, k):
-        if k not in cache:
-            cache[k] = powered(cache, base, k - 1) * base
-        return cache[k]
-
     acc = ring.zero()
     for k, terms in layers.items():
-        piece = Poly(ring, terms)
-        piece = piece * powered(num_pow, num, k) * powered(den_pow, den, d - k)
-        acc = acc + piece
+        acc = acc + Poly(ring, terms) * num**k * den ** (d - k)
     return acc
+
+
+def _next_substitution(gens: Sequence[Poly], ineqs: Sequence[Poly]) -> Optional[Substitution]:
+    """The next step of eliminate_linear_variables, or None when no variable
+    has a usable generator."""
+    if not gens:
+        return None
+    ring = gens[0].ring
+    for x in reversed(range(ring.nvars)):
+        linear = [(g, *_split_linear(g, x)) for g in gens if g.degree_in(x) == 1]
+        if not any(c.is_constant() for _, c, _ in linear):
+            linear = [t for t in linear if _divide_out(t[1], ineqs).is_constant()]
+        if linear:
+            _, c, rest = min(
+                linear, key=lambda t: (not t[1].is_constant(), poly_sort_key(t[0]))
+            )
+            if c.is_constant():
+                inverse = ring.field.inv(c.constant_value())
+                return Substitution(x, (-rest).scale(inverse), ring.one())
+            return Substitution(x, -rest, c)
+    return None
 
 
 def eliminate_linear_variables(
@@ -490,58 +521,26 @@ def eliminate_linear_variables(
 ) -> EliminationResult:
     """Repeatedly eliminate variables with unit linear coefficient.
 
-    A generator c*x + g is usable when c is a nonzero scalar or a recorded
-    unit of the localization (scalar times a product of current
-    inequations).  The last eligible variable in the ambient order goes
-    first; ties between generators break on the deterministic polynomial
-    key.  Substitutions are recorded as x = num/den and denominators are
-    cleared through every polynomial by multiplying with the matching unit
-    power, so the presented localized quotient is unchanged.
+    A generator c*x + g is usable when c is a nonzero scalar or a unit of
+    the localization: a scalar times a product of current inequations, as
+    _divide_out finds it.  Each step scans the variables from the last and
+    eliminates the first one with a usable generator.  Among its generators
+    a scalar c beats a unit one, and then the first by poly_sort_key wins.
+    Whether a non-scalar c is a unit is tested only for a variable that has
+    no scalar coefficient.  Substitutions are recorded as x = num/den and
+    denominators are cleared through every polynomial by multiplying with
+    the matching unit power, so the presented localized quotient is
+    unchanged.
     """
     gens = [g for g in generators if not g.is_zero()]
     ineqs = list(inequations)
     subs: list[Substitution] = []
     while True:
-        best = None  # (var, gen_sort_key, c, rest, gen)
-        for g in gens:
-            for x in g.variables():
-                if g.degree_in(x) != 1:
-                    continue
-                c, rest = _split_linear(g, x)
-                if c.is_zero():
-                    continue
-                scalar = c.is_constant()
-                if not scalar and not _divide_out(c, ineqs).is_constant():
-                    continue
-                # prefer the largest variable index; for one variable,
-                # prefer scalar coefficients, then the smaller generator
-                cand = (x, 0 if scalar else 1, poly_sort_key(g), c, rest)
-                if (
-                    best is None
-                    or cand[0] > best[0]
-                    or (cand[0] == best[0] and cand[1] < best[1])
-                    or (
-                        cand[0] == best[0]
-                        and cand[1] == best[1]
-                        and cand[2] < best[2]
-                    )
-                ):
-                    best = cand
-        if best is None:
+        s = _next_substitution(gens, ineqs)
+        if s is None:
             break
-        x, kind, _, c, rest = best
-        ring = c.ring
-        if kind == 0:
-            num = (-rest).scale(ring.field.inv(c.constant_value()))
-            den = ring.one()
-        else:
-            num = -rest
-            den = c
-        subs.append(Substitution(x, num, den))
-        gens = [
-            p
-            for p in (_substitute_cleared(g, x, num, den) for g in gens)
-            if not p.is_zero()
-        ]
-        ineqs = [_substitute_cleared(u, x, num, den) for u in ineqs]
+        subs.append(s)
+        cleared = [_substitute_cleared(g, s.var, s.numerator, s.denominator) for g in gens]
+        gens = [g for g in cleared if not g.is_zero()]
+        ineqs = [_substitute_cleared(u, s.var, s.numerator, s.denominator) for u in ineqs]
     return EliminationResult(tuple(subs), tuple(gens), tuple(ineqs))

@@ -82,16 +82,6 @@ class PolynomialRing:
     def gens(self) -> list["Poly"]:
         return [self.var(i) for i in range(self.nvars)]
 
-    def from_terms(self, terms: Mapping[tuple, object]) -> "Poly":
-        clean = {}
-        for exp, c in terms.items():
-            cc = self.field.coerce(c) if not _is_raw_element(self.field, c) else c
-            if not self.field.is_zero(cc):
-                if len(exp) != self.nvars:
-                    raise InputError("exponent tuple has the wrong length")
-                clean[tuple(exp)] = cc
-        return Poly(self, clean)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolynomialRing)
@@ -208,8 +198,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c) -> "Poly":

@@ -30,32 +30,12 @@ class Permutation:
             raise InputError(f"{images!r} is not a permutation of 1..{n}")
         self.images = images
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cyc in cycles:
-            for i, e in enumerate(cyc):
-                images[e - 1] = cyc[(i + 1) % len(cyc)]
-        return cls(images)
-
     @property
     def n(self) -> int:
         return len(self.images)
 
     def apply(self, e: int) -> int:
         return self.images[e - 1]
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        for e in mask_elements(mask):
-            out |= 1 << (self.images[e - 1] - 1)
-        return out
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(e) = self(other(e))."""
-        if self.n != other.n:
-            raise InputError("permutation size mismatch")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
 
     def is_identity(self) -> bool:
         return all(img == i + 1 for i, img in enumerate(self.images))

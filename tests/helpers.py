@@ -1,0 +1,43 @@
+"""Constructors the tests use and the library does not: polynomials from a
+term dict, and permutations from cycles, acting on bitmasks, composed."""
+
+from matroidworks.errors import InputError
+from matroidworks.matroid import mask_elements
+from matroidworks.polynomials import Poly
+from matroidworks.symmetry import Permutation
+
+
+def poly_from_terms(ring, terms):
+    """The polynomial with {exponent tuple: coefficient} terms; coefficients
+    are coerced into the ring's field and zeros are dropped."""
+    clean = {}
+    for exp, c in terms.items():
+        if len(exp) != ring.nvars:
+            raise InputError("exponent tuple has the wrong length")
+        cc = ring.one().scale(c).constant_value()
+        if not ring.field.is_zero(cc):
+            clean[tuple(exp)] = cc
+    return Poly(ring, clean)
+
+
+def permutation_from_cycles(n, cycles):
+    images = list(range(1, n + 1))
+    for cyc in cycles:
+        for i, e in enumerate(cyc):
+            images[e - 1] = cyc[(i + 1) % len(cyc)]
+    return Permutation(images)
+
+
+def apply_mask(p, mask):
+    """The image under p of the subset with this bitmask, as a bitmask."""
+    out = 0
+    for e in mask_elements(mask):
+        out |= 1 << (p.apply(e) - 1)
+    return out
+
+
+def compose(p, q):
+    """p after q: compose(p, q)(e) = p(q(e))."""
+    if p.n != q.n:
+        raise InputError("permutation size mismatch")
+    return Permutation(tuple(p.apply(q.apply(e)) for e in range(1, p.n + 1)))

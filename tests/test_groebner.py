@@ -11,15 +11,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import poly_from_terms
 
 from matroidworks import groebner, realization
 from matroidworks.catalog import fano, graphic_k4, moebius_kantor, non_fano, pappus, vamos
 from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch, budget
 from matroidworks.fields import prime_field, rationals
 from matroidworks.groebner import (
+    EliminationResult,
     Ideal,
+    Substitution,
     _divide_out,
     _saturate_by_one,
+    _split_linear,
+    _substitute_cleared,
     buchberger,
     eliminate_linear_variables,
     normal_form,
@@ -137,7 +142,8 @@ def test_membership_of_combinations():
     for _ in range(20):
         combo = ring.zero()
         for g in gens:
-            mult = ring.from_terms(
+            mult = poly_from_terms(
+                ring,
                 {
                     tuple(rng.randint(0, 2) for _ in range(3)): Fraction(
                         rng.randint(-3, 3)
@@ -157,13 +163,15 @@ def test_normal_form_is_linear():
     x, y = ring.gens()
     gb = buchberger(Ideal(ring, [x * x + y, y * y - ring.one()]))
     for _ in range(20):
-        f = ring.from_terms(
+        f = poly_from_terms(
+            ring,
             {
                 (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-4, 4))
                 for _ in range(3)
             }
         )
-        g = ring.from_terms(
+        g = poly_from_terms(
+            ring,
             {
                 (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-4, 4))
                 for _ in range(3)
@@ -219,6 +227,15 @@ def test_ring_mismatch_rejected():
     r2 = ring_xyz()
     with pytest.raises(RingMismatch):
         Ideal(r1, [r2.gens()[0]])
+
+
+def test_reduce_inequations_rejects_other_rings():
+    x, y = ring_xy().gens()
+    f3 = PolynomialRing(prime_field(3), ("x", "y"))
+    with pytest.raises(RingMismatch):
+        reduce_inequations([x * y + x], [f3.gens()[0]])
+    with pytest.raises(RingMismatch):
+        reduce_inequations([x * y + x, f3.gens()[1]], [y * y - x])
 
 
 # -- saturation -------------------------------------------------------------
@@ -319,7 +336,7 @@ def test_saturation_of_zero_ideal_matches_rabinowitsch():
                     )
                     for _ in range(rng.randint(1, 3))
                 }
-                u = ring.from_terms(terms)
+                u = poly_from_terms(ring, terms)
                 if not u.is_zero():
                     ineqs.append(u)
             product = ring.one()
@@ -413,6 +430,117 @@ def test_elimination_preserves_localized_solutions():
         return out
 
     assert points_direct() == points_reduced()
+
+
+def eliminate_by_all_pairs(generators, inequations, tally):
+    """Oracle: each step unit-tests the coefficient of every (generator,
+    variable) pair the generator is linear in (tally["oracle"] counts the
+    tests) and eliminates the largest variable, preferring a scalar
+    coefficient, then the smaller generator by poly_sort_key."""
+    gens = [g for g in generators if not g.is_zero()]
+    ineqs = list(inequations)
+    subs = []
+    while True:
+        best = None  # ((-var, not scalar, generator key), var, c, rest)
+        for g in gens:
+            for x in g.variables():
+                if g.degree_in(x) != 1:
+                    continue
+                c, rest = _split_linear(g, x)
+                scalar = c.is_constant()
+                if not scalar:
+                    tally["oracle"] += 1
+                    if not _divide_out(c, ineqs).is_constant():
+                        continue
+                rank = (-x, not scalar, poly_sort_key(g))
+                if best is None or rank < best[0]:
+                    best = (rank, x, c, rest)
+        if best is None:
+            break
+        _, x, c, rest = best
+        ring = c.ring
+        if c.is_constant():
+            sub = Substitution(x, (-rest).scale(ring.field.inv(c.constant_value())), ring.one())
+        else:
+            sub = Substitution(x, -rest, c)
+        subs.append(sub)
+        cleared = [_substitute_cleared(g, x, sub.numerator, sub.denominator) for g in gens]
+        gens = [g for g in cleared if not g.is_zero()]
+        ineqs = [_substitute_cleared(u, x, sub.numerator, sub.denominator) for u in ineqs]
+    return EliminationResult(tuple(subs), tuple(gens), tuple(ineqs))
+
+
+def checked_elimination(monkeypatch, tally):
+    """eliminate_linear_variables, asserted equal to the all-pairs oracle;
+    tally["scan"] counts its own unit tests."""
+    plain_divide_out = groebner._divide_out
+
+    def counted_divide_out(u, divisors):
+        tally["scan"] += 1
+        return plain_divide_out(u, divisors)
+
+    def checked(gens, ineqs):
+        gens, ineqs = list(gens), list(ineqs)
+        tally["calls"] += 1
+        expected = eliminate_by_all_pairs(gens, ineqs, tally)
+        monkeypatch.setattr(groebner, "_divide_out", counted_divide_out)
+        got = eliminate_linear_variables(gens, ineqs)
+        monkeypatch.setattr(groebner, "_divide_out", plain_divide_out)
+        assert got == expected
+        return got
+
+    return checked
+
+
+def test_elimination_scan_matches_all_pairs_oracle_on_catalog_spaces(monkeypatch):
+    """Every elimination made while building the catalog's spaces agrees
+    with the all-pairs oracle, and the scan unit-tests fewer coefficients."""
+    tally = {"calls": 0, "scan": 0, "oracle": 0}
+    monkeypatch.setattr(
+        realization, "eliminate_linear_variables", checked_elimination(monkeypatch, tally)
+    )
+    for m in (fano(), non_fano(), vamos(), moebius_kantor(), pappus(), graphic_k4()):
+        for c in (0, 2, 3, 5, 7):
+            realization_space(m, c)
+    assert tally["calls"] >= 40
+    assert 0 < tally["scan"] < tally["oracle"]
+
+
+@pytest.mark.parametrize("field,seed", [(Q, 31), (prime_field(3), 32)])
+def test_elimination_scan_matches_all_pairs_oracle_on_random_inputs(monkeypatch, field, seed):
+    """Scalar, unit and non-unit coefficients compete for one variable,
+    next to generators linear in other variables."""
+    ring = PolynomialRing(field, ("x", "y", "z", "w"))
+    rng = random.Random(seed)
+    tally = {"calls": 0, "scan": 0, "oracle": 0}
+    eliminate = checked_elimination(monkeypatch, tally)
+    contested = by_unit = 0
+    for _ in range(40):
+        x = rng.randrange(ring.nvars)
+        others = [i for i in range(ring.nvars) if i != x]
+        pool = [random_linear_form(rng, ring, others) for _ in range(3)]
+        pool = [f for f in pool if not f.is_constant()]
+        if not pool:
+            continue
+        ineqs = [random_product(rng, pool, (1, 1)) for _ in range(rng.randint(1, 3))]
+        kinds = [rng.choice(["scalar", "unit", "other"]) for _ in range(rng.randint(2, 4))]
+        gens = []
+        for kind in kinds:
+            if kind == "scalar":
+                c = ring.one().scale(rng.choice([-1, 1, 2]))
+            elif kind == "unit":
+                c = random_product(rng, ineqs, (1, 2))
+            else:
+                c = random_linear_form(rng, ring, others)
+            rest = random_product(rng, pool + [random_linear_form(rng, ring, others)], (-2, 2))
+            gens.append(c * ring.var(x) + rest)
+        if rng.random() < 0.5:
+            gens.append(random_linear_form(rng, ring) * random_linear_form(rng, ring))
+        contested += "scalar" in kinds and "unit" in kinds
+        res = eliminate(gens, ineqs)
+        by_unit += any(not s.denominator.is_constant() for s in res.substitutions)
+    assert contested >= 10 and by_unit >= 5
+    assert tally["scan"] <= tally["oracle"]
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -516,13 +644,14 @@ def test_reduction_matches_oracles_on_catalog_spaces(monkeypatch):
     assert calls["reduce"] >= 60 and calls["unit"] > 0
 
 
-def random_linear_form(rng, ring):
+def random_linear_form(rng, ring, variables=None):
     field = ring.field
+    variables = range(ring.nvars) if variables is None else variables
     terms = {(0,) * ring.nvars: field.coerce(rng.randint(-2, 2))}
-    for i in rng.sample(range(ring.nvars), rng.randint(1, ring.nvars)):
+    for i in rng.sample(variables, rng.randint(1, len(variables))):
         exp = tuple(1 if j == i else 0 for j in range(ring.nvars))
         terms[exp] = field.coerce(rng.choice([-2, -1, 1, 2, 3]))
-    return ring.from_terms(terms)
+    return poly_from_terms(ring, terms)
 
 
 def random_product(rng, pool, scalar_range):

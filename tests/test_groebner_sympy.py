@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import poly_from_terms
 
 from matroidworks.catalog import catalog, catalog_names
 from matroidworks.fields import prime_field, rationals
@@ -120,7 +121,7 @@ def random_poly(ring, rng, terms, degree):
         for _ in range(rng.randint(0, degree)):
             e[rng.randrange(ring.nvars)] += 1
         exps[tuple(e)] = ring.field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
-    return ring.from_terms(exps)
+    return poly_from_terms(ring, exps)
 
 
 @pytest.mark.parametrize("field", [rationals(), prime_field(3)], ids=["Q", "GF3"])

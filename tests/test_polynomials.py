@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import poly_from_terms
 
 from matroidworks.errors import InputError, RingMismatch
 from matroidworks.fields import prime_field, rationals
@@ -26,7 +27,7 @@ def random_poly(rng, ring, max_terms=5, max_deg=3):
     for _ in range(rng.randint(0, max_terms)):
         exps = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
         terms[exps] = ring.field.coerce(rng.randint(-4, 4))
-    return ring.from_terms(terms)
+    return poly_from_terms(ring, terms)
 
 
 def test_ring_axioms_random():
@@ -59,6 +60,30 @@ def test_pow_matches_repeated_product():
     assert poly_str(f * f) == "x^2 + 2*x*y + y^2"
     with pytest.raises(InputError):
         f ** (-1)
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply needs one product per set bit and one squaring per
+    # bit after the first; squaring past the last bit wastes the largest one
+    ring = qring("x", "y")
+    x, y = ring.gens()
+    f = x + y + ring.one()
+    expected = ring.one()
+    plain_mul = Poly.__mul__
+    calls = [0]
+
+    def counted_mul(a, b):
+        calls[0] += 1
+        return plain_mul(a, b)
+
+    for k in range(1, 9):
+        expected = plain_mul(expected, f)
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        calls[0] = 0
+        power = f**k
+        monkeypatch.setattr(Poly, "__mul__", plain_mul)
+        assert power == expected
+        assert calls[0] <= bin(k).count("1") + k.bit_length() - 1
 
 
 def test_order_comparisons():
@@ -167,7 +192,7 @@ def test_poly_str_golden():
 
 def test_from_terms_drops_zeros():
     ring = qring("x", "y")
-    f = ring.from_terms({(1, 0): Fraction(0), (0, 1): Fraction(2)})
+    f = poly_from_terms(ring, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert len(f.terms) == 1
     assert f.total_degree() == 1
     assert ring.zero().total_degree() == -1
