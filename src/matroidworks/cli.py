@@ -247,8 +247,10 @@ def cmd_realization(args) -> int:
     if args.profile:
         rows = []
         any_undecided = False
+        basis = None
         for c in PROFILE_CHARACTERISTICS:
-            space = realization_space(m, c, simplify=simplify)
+            space = realization_space(m, c, simplify=simplify, basis=basis)
+            basis = space.basis
             any_undecided |= space.verdict is SpaceVerdict.UNDECIDED
             rows.append(
                 {

@@ -291,14 +291,14 @@ def sorted_unique(polys: Iterable[Poly]) -> list[Poly]:
     return [by_key[k] for k in sorted(by_key)]
 
 
-def _divide_out(u: Poly, divisors: Sequence[Poly]) -> Poly:
+def _divide_out(u: Poly, lead: Sequence[tuple]) -> Poly:
     """u divided by the first divisor that divides it exactly, repeatedly.
 
-    Divisors are tried in the given order and constants are skipped.  Only
+    The divisors come as (degrevlex leading monomial, non-constant
+    polynomial) pairs, tried in the given order.  Only
     those whose leading monomial divides lm(u) are tried, since every exact
     divisor's does.  Stops when u is a scalar or no divisor divides it.
     """
-    lead = [(v.leading_exp(DEGREVLEX), v) for v in divisors if not v.is_constant()]
     while not u.is_constant():
         lm = u.leading_exp(DEGREVLEX)
         for vlm, v in lead:
@@ -344,16 +344,18 @@ def reduce_inequations(
     pending = sorted_unique(reduced)
     done: list[Poly] = []
     keys: list = []
+    lead: list[tuple] = []  # (leading monomial, u) for each u in done
     while pending:
-        u = _divide_out(pending.pop(0), done)
+        u = _divide_out(pending.pop(0), lead)
         if u.is_constant():
             continue
         k = poly_sort_key(u)
         pos = bisect_left(keys, k)
         pending[:0] = done[pos:]
-        del done[pos:], keys[pos:]
+        del done[pos:], keys[pos:], lead[pos:]
         done.append(u)
         keys.append(k)
+        lead.append((u.leading_exp(DEGREVLEX), u))
     return tuple(done)
 
 
@@ -501,10 +503,13 @@ def _next_substitution(gens: Sequence[Poly], ineqs: Sequence[Poly]) -> Optional[
     if not gens:
         return None
     ring = gens[0].ring
+    lead = None
     for x in reversed(range(ring.nvars)):
         linear = [(g, *_split_linear(g, x)) for g in gens if g.degree_in(x) == 1]
         if not any(c.is_constant() for _, c, _ in linear):
-            linear = [t for t in linear if _divide_out(t[1], ineqs).is_constant()]
+            if lead is None:
+                lead = [(u.leading_exp(DEGREVLEX), u) for u in ineqs if not u.is_constant()]
+            linear = [t for t in linear if _divide_out(t[1], lead).is_constant()]
         if linear:
             _, c, rest = min(
                 linear, key=lambda t: (not t[1].is_constant(), poly_sort_key(t[0]))

@@ -103,13 +103,15 @@ class Matroid:
     """Immutable matroid; equality and hashing go by (n, bases).
 
     Construct through :func:`matroid_from_bases` (validates the exchange
-    axiom) or the other ``matroid_from_*`` helpers.  Derived data (independent
-    sets, subset-rank table, flats, circuits) is computed lazily and cached;
-    all operations returning matroids build fresh objects.
+    axiom) or the other ``matroid_from_*`` helpers.  Derived data (the basis
+    set behind ``is_basis``, independent sets, subset-rank table, flats,
+    circuits) is computed lazily and cached; all operations returning
+    matroids build fresh objects.
     """
 
     __slots__ = (
-        "n", "bases", "rank", "_indep", "_ranks", "_flats", "_flat_levels", "_circuits"
+        "n", "bases", "rank", "_basis_set", "_indep", "_ranks", "_flats",
+        "_flat_levels", "_circuits",
     )
 
     def __init__(self, n: int, basis_masks: tuple[int, ...], _validated: bool = False):
@@ -118,6 +120,7 @@ class Matroid:
         self.n = n
         self.bases = basis_masks
         self.rank = basis_masks[0].bit_count() if basis_masks else 0
+        self._basis_set: Optional[frozenset[int]] = None
         self._indep: Optional[frozenset[int]] = None
         self._ranks: Optional[bytearray] = None
         self._flats = None
@@ -147,6 +150,12 @@ class Matroid:
 
     def basis_lists(self) -> list[list[int]]:
         return [list(mask_elements(b)) for b in self.bases]
+
+    def is_basis(self, mask: int) -> bool:
+        """Whether a subset mask is a basis, read from one set per matroid."""
+        if self._basis_set is None:
+            self._basis_set = frozenset(self.bases)
+        return mask in self._basis_set
 
     def _independent_masks(self) -> frozenset[int]:
         """All independent sets, as the downward closure of the bases."""

@@ -98,23 +98,13 @@ def _matrix_skeleton(m: Matroid, basis_mask: int):
     b_elems = list(mask_elements(basis_mask))
     c_elems = [e for e in range(1, n + 1) if not (basis_mask >> (e - 1)) & 1]
     k = len(c_elems)
-    exch = [[False] * k for _ in range(r)]
-    for i in range(r):
-        cut = basis_mask & ~(1 << (b_elems[i] - 1))
-        for j in range(k):
-            exch[i][j] = (cut | (1 << (c_elems[j] - 1))) in m.bases
-    mu = [r] * k  # sentinel r means "r+1" in 1-based terms
-    for j in range(k):
-        for i in range(r):
-            if exch[i][j]:
-                mu[j] = i
-                break
-    nu = [k] * r
-    for i in range(r):
-        for j in range(k):
-            if exch[i][j] and mu[j] != i:
-                nu[i] = j
-                break
+    exch = [
+        [m.is_basis((basis_mask & ~(1 << (b - 1))) | (1 << (c - 1))) for c in c_elems]
+        for b in b_elems
+    ]
+    # sentinels r and k mean "r+1" and "k+1" in 1-based terms
+    mu = [next((i for i in range(r) if exch[i][j]), r) for j in range(k)]
+    nu = [next((j for j in range(k) if exch[i][j] and mu[j] != i), k) for i in range(r)]
     plan = [["zero"] * k for _ in range(r)]
     for i in range(r):
         for j in range(k):
@@ -130,8 +120,10 @@ def _matrix_skeleton(m: Matroid, basis_mask: int):
 def choose_basis(m: Matroid) -> tuple[int, ...]:
     """The basis whose parameterized matrix has the fewest variables.
 
-    Ties break to the lexicographically smallest basis.  Loops make every
-    choice degenerate, so they are rejected up front.
+    Ties break to the lexicographically smallest basis; in rank 0 and full
+    rank that is the only basis.  The choice depends only on the matroid,
+    not on the characteristic.  Loops make every choice degenerate, so they
+    are rejected up front.
     """
     if m.rank > 0 and m.loops():
         raise LoopPresent(f"loops {list(m.loops())} admit no realization chart")
@@ -159,7 +151,7 @@ def build_parameterized_matrix(
     if field is None:
         field = field_of_characteristic(0)
     basis_mask = mask_of(basis, m.n)
-    if basis_mask not in m.bases:
+    if not m.is_basis(basis_mask):
         raise InputError(f"{sorted(basis)} is not a basis")
     b_elems, c_elems, plan = _matrix_skeleton(m, basis_mask)
     names, slot_at = [], {}
@@ -283,68 +275,52 @@ def realization_space(
 ) -> RealizationSpace:
     """The realization space of m over fields of the given characteristic.
 
-    The verdict is Empty exactly when the saturation of the defining ideal
-    at the inequations is the unit ideal, which decides realizability over
-    the algebraic closure.  Budget exhaustion yields verdict Undecided with
-    the partially simplified presentation preserved.
+    The chart is the given basis, else choose_basis(m); sweeps over
+    characteristics pass the first space's basis to the rest.  The verdict
+    is Empty exactly when the saturation of the defining ideal at the
+    inequations is the unit ideal, which decides realizability over the
+    algebraic closure.  Budget exhaustion yields verdict Undecided.  A trip
+    in the simplification loop keeps the raw minors (no substitutions, the
+    monic non-basis minors, every basis minor with constants and repeats);
+    a trip in the saturation keeps the simplified presentation.
     """
     field = field_of_characteristic(characteristic)
-    if m.rank > 0 and m.rank < m.n and m.loops():
-        raise LoopPresent(
-            f"loops {list(m.loops())} admit no realization chart"
-        )
     if basis is None:
-        basis = (
-            mask_elements(m.bases[0]) if m.rank in (0, m.n) else choose_basis(m)
-        )
-    else:
-        basis = tuple(sorted(basis))
+        basis = choose_basis(m)
+    elif m.rank > 0 and m.loops():
+        raise LoopPresent(f"loops {list(m.loops())} admit no realization chart")
     ring, grid = build_parameterized_matrix(m, basis, field)
-    oracle = MinorOracle(grid) if m.rank > 0 else None
     gens = []
     ineqs = []
-    if oracle is not None:
-        r, n = m.rank, m.n
-        for cols in itertools.combinations(range(n), r):
+    if m.rank > 0:
+        oracle = MinorOracle(grid)
+        for cols in itertools.combinations(range(m.n), m.rank):
             minor = oracle.det(cols)
-            if mask_of((c + 1 for c in cols), n) in m.bases:
+            if m.is_basis(sum(1 << c for c in cols)):
                 ineqs.append(minor)
             elif not minor.is_zero():
                 gens.append(minor.monic(DEGREVLEX))
     gens = sorted_unique(gens)
 
     subs: tuple = ()
-    empty = False
-    undecided = False
-    if simplify:
-        try:
+    try:
+        if simplify:
             gens, ineqs, subs, empty = _simplify(ring, gens, ineqs)
-        except DegreeBudgetExceeded:
-            undecided = True
-            gens, ineqs = tuple(gens), tuple(ineqs)
-    else:
-        reduced = reduce_inequations(ineqs, ())
-        empty = reduced is None
-        if not empty:
-            ineqs = reduced
-        gens = tuple(gens)
-
-    if undecided:
+        else:
+            reduced = reduce_inequations(ineqs, ())
+            empty = reduced is None
+            if not empty:
+                ineqs = reduced
+        if empty or has_unit(saturate(Ideal(ring, gens), list(ineqs)).gens):
+            verdict = SpaceVerdict.EMPTY
+        else:
+            verdict = SpaceVerdict.NONEMPTY
+    except DegreeBudgetExceeded:
         verdict = SpaceVerdict.UNDECIDED
-    elif empty:
-        verdict = SpaceVerdict.EMPTY
-    else:
-        try:
-            sat = saturate(Ideal(ring, gens), list(ineqs))
-            verdict = (
-                SpaceVerdict.EMPTY if has_unit(sat.gens) else SpaceVerdict.NONEMPTY
-            )
-        except DegreeBudgetExceeded:
-            verdict = SpaceVerdict.UNDECIDED
     return RealizationSpace(
         matroid=m,
         characteristic=characteristic,
-        basis=tuple(basis),
+        basis=tuple(sorted(basis)),
         ring=ring,
         matrix=grid,
         ideal_generators=tuple(gens),
@@ -487,16 +463,19 @@ def realizability_table(m: Matroid, q_max: int) -> dict[int, bool]:
     """is_realizable_over_q for every prime power q <= q_max, ascending.
 
     Each characteristic's space is built once, at its smallest q, and
-    searched for every power of that prime.
+    searched for every power of that prime.  The chart is chosen once, at
+    the first characteristic, and reused for the rest.
     """
     out: dict[int, bool] = {}
     spaces: dict[int, RealizationSpace] = {}
+    basis = None
     for q in range(2, q_max + 1):
         try:
             p, _ = factor_prime_power(q)
         except InputError:
             continue
         if p not in spaces:
-            spaces[p] = realization_space(m, p)
+            spaces[p] = realization_space(m, p, basis=basis)
+            basis = spaces[p].basis
         out[q] = _realizable_in(spaces[p], q)
     return out

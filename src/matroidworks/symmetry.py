@@ -2,9 +2,11 @@
 
 The isomorphism search is plain backtracking over element images, pruned by
 the per-element basis-degree invariant and by checking every r-subset of the
-assigned prefix as soon as it is complete.  Ground sets are kept small (the
-guard is n <= 12), and the current budget's search_nodes (errors.budget)
-caps the images tried in one search.
+assigned prefix as soon as it is complete.  Whether each such subset is a
+basis of the first matroid is settled once per search, before the walk, so
+a node builds only the image masks and asks the second matroid's is_basis.
+Ground sets are kept small (the guard is n <= 12), and the current budget's
+search_nodes (errors.budget) caps the images tried in one search.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, MatroidworksError, SearchBudgetExceeded, current_budget
-from .matroid import Matroid, mask_elements
+from .matroid import Matroid, mask_elements, mask_of
 
 SEARCH_MAX_GROUND = 12
 
@@ -143,37 +145,38 @@ def _search_isomorphisms(
     deg1, deg2 = _basis_degrees(m1), _basis_degrees(m2)
     if sorted(deg1[1:]) != sorted(deg2[1:]):
         return
-    basis2 = set(m2.bases)
-    is_b1 = set(m1.bases)
     candidates = {
         e: [y for y in range(1, n + 1) if deg2[y] == deg1[e]] for e in range(1, n + 1)
     }
-    # r-subsets of 1..e that contain e, listed per depth
-    subsets_at = {
-        e: [c for c in itertools.combinations(range(1, e + 1), r) if c[-1] == e]
+    # per depth e, for each r-subset of 1..e whose largest element is e: its
+    # other elements, and whether it is a basis of m1
+    settled = {
+        e: [
+            (c[:-1], m1.is_basis(mask_of(c, n)))
+            for c in itertools.combinations(range(1, e + 1), r)
+            if e in c
+        ]
         for e in range(1, n + 1)
     }
-    assign = [0] * (n + 1)
+    is_basis2 = m2.is_basis
+    image_bit = [0] * (n + 1)  # 1 << (image - 1) per assigned element
     used = [False] * (n + 1)
     nodes = 0
     results = []
 
     def consistent(e: int) -> bool:
-        for sub in subsets_at[e]:
-            img = 0
-            for x in sub:
-                img |= 1 << (assign[x] - 1)
-            m = 0
-            for x in sub:
-                m |= 1 << (x - 1)
-            if (m in is_b1) != (img in basis2):
+        for others, basis in settled[e]:
+            img = image_bit[e]
+            for x in others:
+                img |= image_bit[x]
+            if is_basis2(img) != basis:
                 return False
         return True
 
     def dfs(e: int) -> bool:
         nonlocal nodes
         if e > n:
-            results.append(tuple(assign[1:]))
+            results.append(tuple(b.bit_length() for b in image_bit[1:]))
             return not find_all
         for y in candidates[e]:
             if used[y]:
@@ -181,12 +184,11 @@ def _search_isomorphisms(
             nodes += 1
             if nodes > limit:
                 raise SearchBudgetExceeded(f"isomorphism search exceeded {limit} nodes")
-            assign[e] = y
+            image_bit[e] = 1 << (y - 1)
             used[y] = True
             if consistent(e) and dfs(e + 1):
                 return True
             used[y] = False
-            assign[e] = 0
         return False
 
     dfs(1)

@@ -16,7 +16,7 @@ from matroidworks.matroid import (
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
-from test_realization import spy_on_rabinowitsch
+from test_realization import count_chart_choices, spy_on_rabinowitsch
 
 CORPUS = str(Path(__file__).parent / "data" / "catalog_corpus.json")
 
@@ -123,6 +123,17 @@ def test_realization_profile(capsys):
         11: "Empty",
         13: "Empty",
     }
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-simplify"]], ids=["simplify", "no-simplify"])
+def test_realization_profile_chooses_one_chart(capsys, monkeypatch, extra):
+    # the chart depends only on the matroid: the first characteristic
+    # chooses it and the other six reuse it
+    chosen = count_chart_choices(monkeypatch)
+    rc, d, _ = run_json(capsys, ["realization", "--name", "pappus", "--profile"] + extra)
+    assert rc == 0
+    assert len(d["profile"]) == 7
+    assert len(chosen) == 1
 
 
 def test_realization_profile_takes_no_char(capsys):

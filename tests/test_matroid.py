@@ -120,6 +120,7 @@ def test_rank_closure_independence_exhaustive():
                 assert bare.rank_of(s) == rank_oracle(m, s)
                 assert bare.closure(s) == closure_oracle(m, s)
                 assert is_independent(bare, s) == independent_oracle(m, s)
+                assert bare.is_basis(s) == (rank_oracle(m, s) == s.bit_count() == m.rank)
 
 
 def test_flats_are_exactly_closure_fixed_points():

@@ -35,7 +35,7 @@ from matroidworks.matroid import (
     matroid_from_bases,
     matroid_from_matrix,
 )
-from matroidworks.polynomials import poly_str
+from matroidworks.polynomials import DEGREVLEX, poly_str
 from matroidworks import groebner, realization
 from matroidworks.realization import (
     UNDECIDED,
@@ -186,6 +186,43 @@ def test_budget_trips_inside_saturation(monkeypatch, m, simplify, limit):
     full = realization_space(m, 0, simplify)
     assert full.verdict is not SpaceVerdict.UNDECIDED
     assert space == dataclasses.replace(full, verdict=SpaceVerdict.UNDECIDED)
+
+
+def det3(rows, cols):
+    """The 3 x 3 minor on the given columns, by cofactor expansion."""
+    (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in rows)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize("limit", [0, 2])
+def test_budget_trips_inside_simplification(monkeypatch, limit):
+    # a trip in the simplification loop keeps the raw minors: no
+    # substitutions, the monic nonzero non-basis minors sorted once each,
+    # and every basis minor in column order, constants and repeats included
+    m = pappus()
+    tripped = spy_on_rabinowitsch(monkeypatch)
+    with budget(pair_reductions=limit):
+        space = realization_space(m, 0)
+    assert not tripped
+    assert space.verdict is SpaceVerdict.UNDECIDED
+    assert space.substitutions == ()
+    basis_cols = {tuple(e - 1 for e in mask_elements(b)) for b in m.bases}
+    minors = {
+        cols: det3(space.matrix, cols) for cols in itertools.combinations(range(9), 3)
+    }
+    assert space.inequations == tuple(
+        minors[cols] for cols in sorted(minors) if cols in basis_cols
+    )
+    assert space.ideal_generators == tuple(
+        groebner.sorted_unique(
+            p.monic(DEGREVLEX)
+            for cols, p in minors.items()
+            if cols not in basis_cols and not p.is_zero()
+        )
+    )
+    assert (len(space.ideal_generators), len(space.inequations)) == (6, 75)
+    assert sum(u.is_constant() for u in space.inequations) == 17
+    assert len({poly_str(u) for u in space.inequations}) == 48
 
 
 def test_find_realization_round_trip():
@@ -343,6 +380,19 @@ def test_uniform_rank3_table_matches_arc_bound(n):
     assert sorted(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 
+def count_chart_choices(monkeypatch):
+    """The matroids passed to choose_basis, filled in as it runs."""
+    chosen = []
+    original = realization.choose_basis
+
+    def counting(m):
+        chosen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(realization, "choose_basis", counting)
+    return chosen
+
+
 def test_table_builds_one_space_per_characteristic(monkeypatch):
     built = []
     original = realization.realization_space
@@ -352,13 +402,16 @@ def test_table_builds_one_space_per_characteristic(monkeypatch):
         return original(m, characteristic, *args, **kwargs)
 
     monkeypatch.setattr(realization, "realization_space", counting)
+    chosen = count_chart_choices(monkeypatch)
     for m in (
         fano(), non_fano(), vamos(), moebius_kantor(), pappus(), graphic_k4(),
         uniform(3, 6),
     ):
         built.clear()
+        chosen.clear()
         table = realizability_table(m, 13)
         assert built == [2, 3, 5, 7, 11, 13]
+        assert chosen == [m]
         assert table == {q: is_realizable_over_q(m, q) for q in table}
         assert list(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
 

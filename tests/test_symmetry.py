@@ -88,6 +88,90 @@ def test_isomorphism_reflexive_symmetric_on_relabelings():
         assert back is not None
 
 
+def brute_force_isomorphisms(m1, m2):
+    """Every bijection mapping the bases of m1 onto those of m2: all n!
+    permutations, tried on the non-basis r-sets, whose images must be the
+    non-basis r-sets of m2."""
+    n, r = m1.n, m1.rank
+    if (n, r) != (m2.n, m2.rank):
+        return set()
+
+    def non_bases(m):
+        bases = {frozenset(mask_elements(b)) for b in m.bases}
+        return set(map(frozenset, itertools.combinations(range(1, n + 1), r))) - bases
+
+    dep1, dep2 = non_bases(m1), non_bases(m2)
+    if len(dep1) != len(dep2):
+        return set()
+    return {
+        images
+        for images in itertools.permutations(range(1, n + 1))
+        if all(frozenset(images[e - 1] for e in d) in dep2 for d in dep1)
+    }
+
+
+def line_configuration(n, lines):
+    """The rank-3 matroid on 1..n whose only dependent 3-sets are the lines."""
+    lines = {frozenset(line) for line in lines}
+    return matroid_from_bases(
+        n, [c for c in itertools.combinations(range(1, n + 1), 3) if frozenset(c) not in lines]
+    )
+
+
+def random_line_configuration(rng, n):
+    """Seeded lines on 1..n, any two meeting in at most one point."""
+    lines = []
+    for c in rng.sample(list(itertools.combinations(range(1, n + 1), 3)), 12):
+        if all(len(set(c) & set(line)) <= 1 for line in lines):
+            lines.append(c)
+    return line_configuration(n, lines[: rng.randint(1, len(lines))])
+
+
+def sorted_basis_degrees(m):
+    return sorted(sum(1 for b in m.bases if b >> (e - 1) & 1) for e in range(1, m.n + 1))
+
+
+def test_search_matches_brute_force_on_relabelings_and_line_configurations():
+    rng = random.Random(18)
+    catalog_pool = [fano(), non_fano(), graphic_k4(), uniform(2, 5), uniform(3, 7)]
+    lines_pool = [random_line_configuration(rng, 7) for _ in range(6)]
+    for m in catalog_pool + lines_pool:
+        images = list(range(1, m.n + 1))
+        rng.shuffle(images)
+        m2 = relabel(m, Permutation(images))
+        assert automorphism_group(m2).elements() == brute_force_isomorphisms(m2, m2)
+        witness = is_isomorphic(m, m2)
+        assert witness is not None
+        assert witness.images in brute_force_isomorphisms(m, m2)
+    verdicts = set()
+    for a, b in itertools.combinations(lines_pool, 2):
+        brute = brute_force_isomorphisms(a, b)
+        witness = is_isomorphic(a, b)
+        assert (witness is None) == (not brute)
+        assert witness is None or witness.images in brute
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+
+
+def test_subset_check_separates_equal_degree_configurations():
+    # four lines on eight points each time: three of the first four meet
+    # pairwise (a triangle), while the second four meet in a cycle; basis
+    # counts and basis-degree sequences agree, so the subset check decides
+    triangle = line_configuration(8, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 7, 8)])
+    cycle = line_configuration(8, [(1, 2, 3), (1, 4, 5), (2, 6, 7), (4, 6, 8)])
+    assert len(triangle.bases) == len(cycle.bases)
+    assert sorted_basis_degrees(triangle) == sorted_basis_degrees(cycle)
+    assert brute_force_isomorphisms(triangle, cycle) == set()
+    assert is_isomorphic(triangle, cycle) is None
+    assert is_isomorphic(cycle, triangle) is None
+
+
+def test_rank_zero_group_is_symmetric_group():
+    m = matroid_from_bases(3, [[]])
+    assert automorphism_group(m).order == 6
+    assert is_isomorphic(m, m) is not None
+
+
 def test_non_isomorphic_pairs():
     assert is_isomorphic(fano(), non_fano()) is None
     assert is_isomorphic(uniform(2, 4), uniform(3, 4)) is None
