@@ -215,10 +215,7 @@ def _space_lines(space) -> list[str]:
         f"basis: {d['basis']}",
         "matrix:",
     ]
-    widths = [
-        max(len(d["matrix"][i][j]) for i in range(len(d["matrix"])))
-        for j in range(len(d["matrix"][0]))
-    ]
+    widths = [max(map(len, column)) for column in zip(*d["matrix"])]
     for row in d["matrix"]:
         cells = "  ".join(c.rjust(w) for c, w in zip(row, widths))
         lines.append(f"  [{cells}]")

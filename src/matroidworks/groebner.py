@@ -19,11 +19,14 @@ scalar one beats a unit one, then the smaller generator wins.  It asks the
 same division primitive whether a coefficient is a unit, and only for a
 variable with no scalar coefficient.
 
-Everything runs in degrevlex except the Rabinowitsch step of saturation,
-which eliminates its auxiliary first variable in the block order
-ELIMINATE_FIRST.  So only buchberger and what it calls take an order.
-saturate runs that step once per inequation, not once by their product,
-and returns the last step's t-free elements as its reduced basis.
+Each ring carries its monomial order, and monomials are packed ints in
+that order (see polynomials), so leading monomials are max(), products are
+sums and divisibility is a guard-bit test.  Everything runs in degrevlex
+rings except the Rabinowitsch step of saturation, whose extended ring
+eliminates its auxiliary first variable in the block order
+ELIMINATE_FIRST.  saturate runs that step once per inequation, not once by
+their product, and returns the last step's t-free elements as its reduced
+basis.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .errors import DegreeBudgetExceeded, InputError, RingMismatch, current_budg
 from .polynomials import (
     DEGREVLEX,
     ELIMINATE_FIRST,
-    MonomialOrder,
     Poly,
     PolynomialRing,
     exact_divide,
+    overflow_error,
     poly_sort_key,
 )
 
@@ -65,13 +68,13 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, ascending by leading monomial."""
+    """A reduced Groebner basis in its ring's order: monic, ascending by
+    leading monomial."""
 
-    __slots__ = ("ring", "order", "elements")
+    __slots__ = ("ring", "elements")
 
-    def __init__(self, ring: PolynomialRing, order: MonomialOrder, elements: Sequence[Poly]):
+    def __init__(self, ring: PolynomialRing, elements: Sequence[Poly]):
         self.ring = ring
-        self.order = order
         self.elements = tuple(elements)
 
     def __iter__(self):
@@ -84,7 +87,7 @@ class GroebnerBasis:
         return has_unit(self.elements)
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.elements)} elements, {self.order!r})"
+        return f"GroebnerBasis({len(self.elements)} elements, {self.ring.order!r})"
 
 
 def has_unit(basis: Iterable[Poly]) -> bool:
@@ -93,55 +96,48 @@ def has_unit(basis: Iterable[Poly]) -> bool:
     return any(p.is_constant() and not p.is_zero() for p in basis)
 
 
-def s_polynomial(f: Poly, g: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
+def _lcm(ring: PolynomialRing, a: int, b: int) -> int:
+    return ring.monomial(map(max, ring.exponents(a), ring.exponents(b)))
+
+
+def s_polynomial(f: Poly, g: Poly) -> Poly:
     if f.is_zero() or g.is_zero():
         raise InputError("S-polynomial of a zero polynomial")
-    fe, ge = f.leading_exp(order), g.leading_exp(order)
-    lcm = tuple(max(a, b) for a, b in zip(fe, ge))
-    field = f.ring.field
-    mf = f.mul_monomial(
-        tuple(a - b for a, b in zip(lcm, fe)), field.inv(f.terms[fe])
-    )
-    mg = g.mul_monomial(
-        tuple(a - b for a, b in zip(lcm, ge)), field.inv(g.terms[ge])
-    )
+    ring = f.ring
+    fe, ge = f.leading_exp(), g.leading_exp()
+    lcm = _lcm(ring, fe, ge)
+    mf = f * Poly(ring, {lcm - fe: ring.field.inv(f.terms[fe])})
+    mg = g * Poly(ring, {lcm - ge: ring.field.inv(g.terms[ge])})
     return mf - mg
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _reduce_terms(terms: dict, basis: Sequence[tuple], order: MonomialOrder, field) -> dict:
+def _reduce_terms(terms: dict, basis: Sequence[tuple], ring: PolynomialRing) -> dict:
     """Full normal form of a term dict against [(lm, lc, terms)] divisors.
 
     Divisors are tried in list order (callers keep them ascending by leading
     monomial, which fixes the divisor selection deterministically).
     """
-    key = order.key
+    field = ring.field
+    guard = ring.guard
     work = dict(terms)
     remainder: dict = {}
     while work:
-        e = max(work, key=key)
+        e = max(work)
         c = work.pop(e)
-        hit = None
         for lm, lc, bt in basis:
-            if _divides(lm, e):
-                hit = (lm, lc, bt)
+            shift = e - lm
+            if not shift & guard:
                 break
-        if hit is None:
+        else:
             remainder[e] = c
             continue
-        lm, lc, bt = hit
-        shift = tuple(x - y for x, y in zip(e, lm))
         coeff = field.div(c, lc)
         for be, bc in bt.items():
             if be == lm:
                 continue
-            ne = tuple(x + y for x, y in zip(shift, be))
+            ne = shift + be
+            if ne & guard:
+                raise overflow_error()
             nv = field.sub(work.get(ne, field.zero), field.mul(coeff, bc))
             if field.is_zero(nv):
                 work.pop(ne, None)
@@ -150,43 +146,43 @@ def _reduce_terms(terms: dict, basis: Sequence[tuple], order: MonomialOrder, fie
     return remainder
 
 
-def _divisors(leading: Iterable[tuple], order: MonomialOrder) -> list[tuple]:
+def _divisors(leading: Iterable[tuple]) -> list[tuple]:
     """The (lm, lc, terms) divisors of _reduce_terms, ascending by leading
     monomial, from (leading monomial, polynomial) pairs."""
     divisors = [(lm, p.terms[lm], p.terms) for lm, p in leading]
-    divisors.sort(key=lambda t: order.key(t[0]))
+    divisors.sort(key=lambda t: t[0])
     return divisors
 
 
-def _degrevlex_divisors(basis: Iterable[Poly], ring: PolynomialRing) -> list[tuple]:
-    """The degrevlex divisor list of _reduce_terms for the nonzero elements
-    of basis, which must lie in ring."""
-    if isinstance(basis, GroebnerBasis) and basis.order.block is not None:
-        raise InputError("normal form needs a degrevlex Groebner basis")
+def _divisors_in(basis: Iterable[Poly], ring: PolynomialRing) -> list[tuple]:
+    """The divisor list of _reduce_terms for the nonzero elements of basis,
+    which must lie in ring."""
+    if isinstance(basis, GroebnerBasis) and basis.ring.order != ring.order:
+        raise InputError(f"normal form needs a Groebner basis in {ring.order!r}")
     leading = []
     for g in basis:
         if g.is_zero():
             continue
         if g.ring != ring:
             raise RingMismatch("normal form across rings")
-        leading.append((g.leading_exp(DEGREVLEX), g))
-    return _divisors(leading, DEGREVLEX)
+        leading.append((g.leading_exp(), g))
+    return _divisors(leading)
 
 
 def normal_form(f: Poly, basis: Iterable[Poly]) -> Poly:
-    """Unique remainder of f modulo a (Groebner) basis, in degrevlex.
+    """Unique remainder of f modulo a (Groebner) basis, in f's ring order.
 
     For a non-Groebner divisor set the result still uses the deterministic
     first-divisor-in-order selection, so it is reproducible.  A
-    GroebnerBasis in another order is refused: its remainder in degrevlex
+    GroebnerBasis in another order is refused: its remainder in this order
     is not a normal form.
     """
-    divisors = _degrevlex_divisors(basis, f.ring)
-    return Poly(f.ring, _reduce_terms(f.terms, divisors, DEGREVLEX, f.ring.field))
+    divisors = _divisors_in(basis, f.ring)
+    return Poly(f.ring, _reduce_terms(f.terms, divisors, f.ring))
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm.
+def buchberger(ideal: Ideal) -> GroebnerBasis:
+    """Reduced Groebner basis in the ring's order by Buchberger's algorithm.
 
     Normal pair-selection strategy; the coprime and chain criteria prune
     pairs; single-term pairs are skipped outright (their S-polynomials
@@ -195,55 +191,51 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """
     limit = current_budget().pair_reductions
     ring = ideal.ring
-    field = ring.field
-    key = order.key
+    guard = ring.guard
     if not ideal.gens:
-        return GroebnerBasis(ring, order, ())
+        return GroebnerBasis(ring, ())
 
-    seed = sorted(
-        (g.monic(order) for g in ideal.gens),
-        key=lambda p: (key(p.leading_exp(order)), poly_sort_key(p, order)),
-    )
+    # poly_sort_key starts with the leading monomial
+    seed = sorted((g.monic() for g in ideal.gens), key=poly_sort_key)
 
     basis: list[Poly] = []  # monic
-    lms: list[tuple] = []
+    lms: list[int] = []
 
     # seed with inter-reduction: keeps the pair queue small
     for g in seed:
-        r = _reduce_terms(g.terms, _divisors(zip(lms, basis), order), order, field)
+        r = _reduce_terms(g.terms, _divisors(zip(lms, basis)), ring)
         if r:
-            p = Poly(ring, r).monic(order)
+            p = Poly(ring, r).monic()
             basis.append(p)
-            lms.append(p.leading_exp(order))
+            lms.append(p.leading_exp())
 
     heap: list[tuple] = []
     done: set[frozenset] = set()
 
     def push_pairs(j: int):
         for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-            heapq.heappush(heap, (key(lcm), i, j, lcm))
+            heapq.heappush(heap, (_lcm(ring, lms[i], lms[j]), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     reductions = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         pk = frozenset((i, j))
         if pk in done:
             continue
         done.add(pk)
         # coprime criterion
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if lcm == lms[i] + lms[j]:
             continue
-        # chain criterion
+        # chain criterion: lm_k divides the lcm
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
             if (
-                _divides(lms[k], lcm)
+                not (lcm - lms[k]) & guard
                 and frozenset((i, k)) in done
                 and frozenset((j, k)) in done
             ):
@@ -256,30 +248,29 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         reductions += 1
         if reductions > limit:
             raise DegreeBudgetExceeded(f"Buchberger exceeded {limit} pair reductions")
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce_terms(s.terms, _divisors(zip(lms, basis), order), order, field)
+        s = s_polynomial(basis[i], basis[j])
+        r = _reduce_terms(s.terms, _divisors(zip(lms, basis)), ring)
         if not r:
             continue
-        p = Poly(ring, r).monic(order)
+        p = Poly(ring, r).monic()
         basis.append(p)
-        lms.append(p.leading_exp(order))
+        lms.append(p.leading_exp())
         push_pairs(len(basis) - 1)
 
     # minimalize: drop any element whose leading monomial another one divides
-    order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
     kept: list[int] = []
-    for i in order_idx:
-        if not any(_divides(lms[k], lms[i]) for k in kept):
+    for i in sorted(range(len(basis)), key=lms.__getitem__):
+        if all((lms[i] - lms[k]) & guard for k in kept):
             kept.append(i)
     # fully reduce tails against the other kept elements
     final: list[Poly] = []
     for i in kept:
-        others = _divisors(((lms[k], basis[k]) for k in kept if k != i), order)
-        r = _reduce_terms(basis[i].terms, others, order, field)
+        others = _divisors((lms[k], basis[k]) for k in kept if k != i)
+        r = _reduce_terms(basis[i].terms, others, ring)
         if r:
-            final.append(Poly(ring, r).monic(order))
-    final.sort(key=lambda p: key(p.leading_exp(order)))
-    return GroebnerBasis(ring, order, final)
+            final.append(Poly(ring, r).monic())
+    final.sort(key=Poly.leading_exp)
+    return GroebnerBasis(ring, final)
 
 
 # -- inequations -----------------------------------------------------------
@@ -294,15 +285,16 @@ def sorted_unique(polys: Iterable[Poly]) -> list[Poly]:
 def _divide_out(u: Poly, lead: Sequence[tuple]) -> Poly:
     """u divided by the first divisor that divides it exactly, repeatedly.
 
-    The divisors come as (degrevlex leading monomial, non-constant
-    polynomial) pairs, tried in the given order.  Only
-    those whose leading monomial divides lm(u) are tried, since every exact
-    divisor's does.  Stops when u is a scalar or no divisor divides it.
+    The divisors come as (leading monomial, non-constant polynomial) pairs,
+    tried in the given order.  Only those whose leading monomial divides
+    lm(u) are tried, since every exact divisor's does.  Stops when u is a
+    scalar or no divisor divides it.
     """
+    guard = u.ring.guard
     while not u.is_constant():
-        lm = u.leading_exp(DEGREVLEX)
+        lm = u.leading_exp()
         for vlm, v in lead:
-            if _divides(vlm, lm):
+            if not (lm - vlm) & guard:
                 q = exact_divide(u, v)
                 if q is not None:
                     u = q
@@ -329,18 +321,18 @@ def reduce_inequations(
     if not ineqs:
         return ()
     ring = ineqs[0].ring
-    divisors = _degrevlex_divisors(gb_elements, ring)
+    divisors = _divisors_in(gb_elements, ring)
     reduced = []
     for u in ineqs:
         if u.ring != ring:
             raise RingMismatch("inequations over different rings")
         r = u
         if divisors:
-            r = Poly(ring, _reduce_terms(u.terms, divisors, DEGREVLEX, ring.field))
+            r = Poly(ring, _reduce_terms(u.terms, divisors, ring))
         if r.is_zero():
             return None
         if not r.is_constant():
-            reduced.append(r.monic(DEGREVLEX))
+            reduced.append(r.monic())
     pending = sorted_unique(reduced)
     done: list[Poly] = []
     keys: list = []
@@ -355,7 +347,7 @@ def reduce_inequations(
         del done[pos:], keys[pos:], lead[pos:]
         done.append(u)
         keys.append(k)
-        lead.append((u.leading_exp(DEGREVLEX), u))
+        lead.append((u.leading_exp(), u))
     return tuple(done)
 
 
@@ -365,21 +357,26 @@ _AUX_NAME = "_t"
 
 
 def _extended_ring(ring: PolynomialRing) -> PolynomialRing:
+    """The ring with the auxiliary variable t first, eliminated first."""
+    if ring.order != DEGREVLEX:
+        raise InputError("saturation needs a degrevlex ring")
     if _AUX_NAME in ring.names:
         raise InputError(f"ring already uses the reserved name {_AUX_NAME}")
-    return PolynomialRing(ring.field, (_AUX_NAME,) + ring.names)
+    return PolynomialRing(ring.field, (_AUX_NAME,) + ring.names, ELIMINATE_FIRST)
 
 
 def _embed(p: Poly, ring2: PolynomialRing) -> Poly:
-    return Poly(ring2, {(0,) + e: c for e, c in p.terms.items()})
+    exponents = p.ring.exponents
+    return Poly(ring2, {ring2.monomial((0,) + exponents(e)): c for e, c in p.terms.items()})
 
 
 def _project(p: Poly, ring: PolynomialRing) -> Optional[Poly]:
     out = {}
     for e, c in p.terms.items():
-        if e[0] != 0:
+        t, *exps = p.ring.exponents(e)
+        if t:
             return None
-        out[e[1:]] = c
+        out[ring.monomial(exps)] = c
     return Poly(ring, out)
 
 
@@ -392,7 +389,7 @@ def _saturate_by_one(gens: Sequence[Poly], u: Poly) -> list[Poly]:
     t = ring2.var(0)
     ext = [_embed(g, ring2) for g in gens]
     ext.append(t * _embed(u, ring2) - ring2.one())
-    gb = buchberger(Ideal(ring2, ext), ELIMINATE_FIRST)
+    gb = buchberger(Ideal(ring2, ext))
     out = []
     for g in gb:
         p = _project(g, ring)
@@ -466,34 +463,22 @@ class EliminationResult:
 
 def _split_linear(g: Poly, x: int) -> tuple[Poly, Poly]:
     """g = c*x + rest with deg_x(g) == 1; returns (c, rest), both x-free."""
-    ring = g.ring
-    c_terms, rest_terms = {}, {}
-    for e, coeff in g.terms.items():
-        if e[x] == 1:
-            ne = tuple(0 if i == x else v for i, v in enumerate(e))
-            c_terms[ne] = coeff
-        elif e[x] == 0:
-            rest_terms[e] = coeff
-        else:
-            raise InputError("not linear in the chosen variable")
-    return Poly(ring, c_terms), Poly(ring, rest_terms)
+    layers = g.coefficients_in(x)
+    if not layers.keys() <= {0, 1}:
+        raise InputError("not linear in the chosen variable")
+    zero = g.ring.zero()
+    return layers.get(1, zero), layers.get(0, zero)
 
 
 def _substitute_cleared(h: Poly, x: int, num: Poly, den: Poly) -> Poly:
     """h with x -> num/den, multiplied through by den^deg_x(h)."""
-    d = h.degree_in(x)
-    if d <= 0:
+    layers = h.coefficients_in(x)
+    d = max(layers, default=0)
+    if d == 0:
         return h
-    ring = h.ring
-    layers: dict[int, dict] = {}
-    for e, c in h.terms.items():
-        k = e[x]
-        ne = tuple(0 if i == x else v for i, v in enumerate(e))
-        layer = layers.setdefault(k, {})
-        layer[ne] = c
-    acc = ring.zero()
-    for k, terms in layers.items():
-        acc = acc + Poly(ring, terms) * num**k * den ** (d - k)
+    acc = h.ring.zero()
+    for k, c in layers.items():
+        acc = acc + c * num**k * den ** (d - k)
     return acc
 
 
@@ -508,7 +493,7 @@ def _next_substitution(gens: Sequence[Poly], ineqs: Sequence[Poly]) -> Optional[
         linear = [(g, *_split_linear(g, x)) for g in gens if g.degree_in(x) == 1]
         if not any(c.is_constant() for _, c, _ in linear):
             if lead is None:
-                lead = [(u.leading_exp(DEGREVLEX), u) for u in ineqs if not u.is_constant()]
+                lead = [(u.leading_exp(), u) for u in ineqs if not u.is_constant()]
             linear = [t for t in linear if _divide_out(t[1], lead).is_constant()]
         if linear:
             _, c, rest = min(

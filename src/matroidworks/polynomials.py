@@ -1,18 +1,33 @@
-"""Multivariate polynomials with dense exponent tuples over the exact fields.
+"""Multivariate polynomials over the exact fields, with packed monomials.
 
-A ring is (field, variable names); a polynomial is a dict from exponent
-tuples to nonzero coefficients.  Monomial orders produce sort keys, so
-"largest monomial" is always max() over keys.  Everything here is
-immutable by convention: operations build new polynomials.
+A ring is (field, variable names, monomial order); a polynomial is a dict
+from monomials to nonzero coefficients.  A monomial is one int whose int
+order is the ring's monomial order, so the leading monomial is max() of
+the terms, a product of monomials is their sum, and a divides b exactly
+when b - a sets no guard bit (PolynomialRing has the layout).
+ring.monomial(exps) and ring.exponents(m) convert to and from exponent
+tuples.  Everything here is immutable by convention: operations build new
+polynomials.
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import InputError, RingMismatch
+from .errors import DegreeBudgetExceeded, InputError, RingMismatch
 from .fields import ExtensionField, Field, RationalField
+
+W = 16  # bits per field of a packed monomial; the top one is a guard bit
+_LIMIT = (1 << (W - 1)) - 1  # the largest exponent or degree a field holds
+_MASK = (1 << W) - 1
+
+
+def overflow_error() -> DegreeBudgetExceeded:
+    """The error for a monomial that its packed fields cannot hold."""
+    return DegreeBudgetExceeded(f"a monomial exponent or degree exceeds {_LIMIT}")
 
 
 class MonomialOrder:
@@ -28,17 +43,16 @@ class MonomialOrder:
     def __init__(self, block: Optional[int] = None):
         self.block = block  # first-block size; None for degrevlex
 
-    def key(self, exps: tuple) -> tuple:
-        s = self.block
-        if s is None:
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        head, tail = exps[:s], exps[s:]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
+    def blocks(self, n: int) -> list[tuple[int, int]]:
+        """The nonempty (start, stop) variable ranges of the blocks."""
+        cut = n if self.block is None else min(self.block, n)
+        return [(s, t) for s, t in ((0, cut), (cut, n)) if s < t]
+
+    def __eq__(self, other):
+        return isinstance(other, MonomialOrder) and self.block == other.block
+
+    def __hash__(self):
+        return hash(self.block)
 
     def __repr__(self):
         if self.block is None:
@@ -51,49 +65,92 @@ ELIMINATE_FIRST = MonomialOrder(1)
 
 
 class PolynomialRing:
-    """Field + named variables.  Rings compare by value."""
+    """Field + named variables + monomial order.  Rings compare by value.
 
-    __slots__ = ("field", "names", "_zero_exp")
+    A monomial of n variables packs 2n fields of W bits, most significant
+    first.  For each block of the order come its degree, then its prefix
+    sums e_1+...+e_{k-1} down to e_1 (over the block's k exponents); then
+    the n exponents.  Lex order on the first n fields is the monomial
+    order, and they determine the rest, so int order is the ring's order.
+    Every field is a sum of exponents, so adding two monomials multiplies
+    them.  A field holds at most 2^(W-1) - 1: the top bit of each field is
+    a guard, set in a + b when the product overflows (DegreeBudgetExceeded)
+    and in b - a when a does not divide b.
+    """
 
-    def __init__(self, field: Field, names: Sequence[str]):
+    __slots__ = ("field", "names", "order", "guard", "_blocks", "_weights", "_unpack")
+
+    def __init__(self, field: Field, names: Sequence[str], order: MonomialOrder = DEGREVLEX):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise InputError("variable names must be distinct")
         self.field = field
         self.names = names
-        self._zero_exp = (0,) * len(names)
+        self.order = order
+        n = len(names)
+        self.guard = sum(1 << (W * f + W - 1) for f in range(2 * n))
+        self._blocks = order.blocks(n)
+
+        def field_bit(f):  # field f counts from the most significant
+            return 1 << (W * (2 * n - 1 - f))
+
+        # the monomial of each variable: in its block, the degree and the
+        # prefix sums that include it, then its exponent field
+        self._weights = []
+        pos = 0
+        for s, t in self._blocks:
+            for j in range(t - s):
+                w = sum(field_bit(pos + f) for f in range(t - s - j))
+                self._weights.append(w + field_bit(n + s + j))
+            pos += t - s
+        self._unpack = struct.Struct(f">{2 * n}x{n}H").unpack
 
     @property
     def nvars(self) -> int:
         return len(self.names)
 
+    def monomial(self, exps: Sequence[int]) -> int:
+        """The packed monomial with these exponents."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise InputError("exponent tuple has the wrong length")
+        if min(exps, default=0) < 0:
+            raise InputError("negative exponent")
+        if any(sum(exps[s:t]) > _LIMIT for s, t in self._blocks):
+            raise overflow_error()
+        return sum(map(operator.mul, exps, self._weights))
+
+    def exponents(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return self._unpack(m.to_bytes(4 * self.nvars, "big"))
+
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self._zero_exp: self.field.one})
+        return Poly(self, {0: self.field.one})
 
     def var(self, i: int) -> "Poly":
         if not 0 <= i < self.nvars:
             raise InputError(f"no variable with index {i}")
-        exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {exp: self.field.one})
+        return Poly(self, {self._weights[i]: self.field.one})
 
     def gens(self) -> list["Poly"]:
         return [self.var(i) for i in range(self.nvars)]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolynomialRing)
             and self.field == other.field
             and self.names == other.names
+            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.field, self.names))
+        return hash((self.field, self.names, self.order))
 
     def __repr__(self):
-        return f"PolynomialRing({self.field!r}, {list(self.names)})"
+        return f"PolynomialRing({self.field!r}, {list(self.names)}, {self.order!r})"
 
 
 def _is_raw_element(field: Field, value) -> bool:
@@ -120,29 +177,39 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)  # the constant monomial is 0
 
     def constant_value(self):
         """The coefficient of the constant term (field zero if absent)."""
-        return self.terms.get(self.ring._zero_exp, self.ring.field.zero)
+        return self.terms.get(0, self.ring.field.zero)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(self.ring.exponents(e)) for e in self.terms)
 
     def variables(self) -> tuple[int, ...]:
-        used = set()
+        used = 0
         for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    used.add(i)
-        return tuple(sorted(used))
+            used |= e
+        return tuple(i for i, k in enumerate(self.ring.exponents(used)) if k)
 
     def degree_in(self, i: int) -> int:
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        shift = W * (self.ring.nvars - 1 - i)
+        return max((e >> shift) & _MASK for e in self.terms)
+
+    def coefficients_in(self, i: int) -> dict[int, "Poly"]:
+        """{k: c_k} with self the sum of c_k * x_i^k, each c_k free of x_i,
+        for the k that occur."""
+        shift = W * (self.ring.nvars - 1 - i)
+        x = self.ring._weights[i]
+        layers: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            k = (e >> shift) & _MASK
+            layers.setdefault(k, {})[e - k * x] = c
+        return {k: Poly(self.ring, t) for k, t in layers.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -175,10 +242,13 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         f = self.ring.field
+        guard = self.ring.guard
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
+                if e & guard:
+                    raise overflow_error()
                 c = f.mul(c1, c2)
                 if e in out:
                     s = f.add(out[e], c)
@@ -210,33 +280,24 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {e: f.mul(v, cc) for e, v in self.terms.items()})
 
-    def mul_monomial(self, exp: tuple, coeff) -> "Poly":
-        f = self.ring.field
-        return Poly(
-            self.ring,
-            {
-                tuple(a + b for a, b in zip(e, exp)): f.mul(c, coeff)
-                for e, c in self.terms.items()
-            },
-        )
-
     # -- leading data ------------------------------------------------------
 
-    def leading_exp(self, order: MonomialOrder) -> tuple:
+    def leading_exp(self) -> int:
         if not self.terms:
             raise InputError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms)
 
-    def leading_coeff(self, order: MonomialOrder):
-        return self.terms[self.leading_exp(order)]
+    def leading_coeff(self):
+        return self.terms[self.leading_exp()]
 
-    def monic(self, order: MonomialOrder) -> "Poly":
+    def monic(self) -> "Poly":
         if not self.terms:
             return self
-        return self.scale(self.ring.field.inv(self.leading_coeff(order)))
+        return self.scale(self.ring.field.inv(self.leading_coeff()))
 
-    def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms, key=DEGREVLEX.key, reverse=True)
+    def sorted_terms(self) -> list[int]:
+        """The monomials, descending in the ring's order."""
+        return sorted(self.terms, reverse=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -250,7 +311,7 @@ class Poly:
         acc = target.zero
         for e, c in self.terms.items():
             term = target.coerce(c) if target != self.ring.field else c
-            for i, k in enumerate(e):
+            for i, k in enumerate(self.ring.exponents(e)):
                 if k:
                     v = values[i]
                     for _ in range(k):
@@ -283,7 +344,8 @@ def _coeff_str(field: Field, c) -> tuple[str, bool]:
 
 
 def poly_str(p: Poly) -> str:
-    """Deterministic rendering: terms descending in degrevlex, ^ powers, * products."""
+    """Deterministic rendering: terms descending in the ring's order, ^
+    powers, * products."""
     if p.is_zero():
         return "0"
     field = p.ring.field
@@ -295,7 +357,7 @@ def poly_str(p: Poly) -> str:
         negative = rational and c < 0
         mag = -c if negative else c
         factors = []
-        for i, k in enumerate(e):
+        for i, k in enumerate(p.ring.exponents(e)):
             if k == 1:
                 factors.append(names[i])
             elif k > 1:
@@ -315,14 +377,14 @@ def poly_str(p: Poly) -> str:
     return "".join(pieces)
 
 
-def poly_sort_key(p: Poly, order: MonomialOrder = DEGREVLEX):
+def poly_sort_key(p: Poly):
     """Total deterministic key on polynomials (used to fix tie-breaks)."""
-    items = sorted(p.terms, key=order.key, reverse=True)
-    return tuple((order.key(e), repr(p.terms[e])) for e in items)
+    return tuple((e, repr(p.terms[e])) for e in p.sorted_terms())
 
 
 def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
-    """f / g when the division is exact, else None (division in degrevlex).
+    """f / g when the division is exact, else None (division in the ring's
+    order).
 
     The leading terms of the working dividend strictly decrease, so a term
     that lm(g) does not divide is never cancelled: the division stops there.
@@ -334,20 +396,23 @@ def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:
     if ring != g.ring:
         raise RingMismatch("division over different rings")
     field = ring.field
-    glm = g.leading_exp(DEGREVLEX)
+    guard = ring.guard
+    glm = g.leading_exp()
     glc = g.terms[glm]
     q: dict = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=DEGREVLEX.key)
-        if not all(a >= b for a, b in zip(e, glm)):
+        e = max(work)
+        ratio = e - glm
+        if ratio & guard:
             return None
-        ratio = tuple(a - b for a, b in zip(e, glm))
         coeff = q[ratio] = field.div(work.pop(e), glc)
         for ge, gc in g.terms.items():
             if ge == glm:
                 continue
-            ne = tuple(a + b for a, b in zip(ratio, ge))
+            ne = ratio + ge
+            if ne & guard:
+                raise overflow_error()
             nv = field.sub(work.get(ne, field.zero), field.mul(coeff, gc))
             if field.is_zero(nv):
                 work.pop(ne, None)

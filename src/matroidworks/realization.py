@@ -53,7 +53,7 @@ from .groebner import (
 )
 from .linalg import ExactMatrix, MinorOracle
 from .matroid import Matroid, mask_elements, mask_of, matroid_from_matrix
-from .polynomials import DEGREVLEX, PolynomialRing, poly_str
+from .polynomials import PolynomialRing, poly_str
 
 # Unused here; the benchmark tracer wraps them as attributes of this module.
 from .groebner import normal_form  # noqa: F401
@@ -299,7 +299,7 @@ def realization_space(
             if m.is_basis(sum(1 << c for c in cols)):
                 ineqs.append(minor)
             elif not minor.is_zero():
-                gens.append(minor.monic(DEGREVLEX))
+                gens.append(minor.monic())
     gens = sorted_unique(gens)
 
     subs: tuple = ()

@@ -20,9 +20,10 @@ import math
 from fractions import Fraction
 
 from dense_linalg import bareiss_rank, is_positive_definite, kernel_basis
+from helpers import poly_from_terms
 from matroidworks.fields import rationals
 from matroidworks.matroid import mask_elements
-from matroidworks.polynomials import Poly, PolynomialRing
+from matroidworks.polynomials import PolynomialRing
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,7 +65,7 @@ def ideal_generators(ring):
             if f & g not in (f, g):
                 exps = [0] * k
                 exps[i] = exps[j] = 1
-                gens.append(Poly(poly_ring, {tuple(exps): _ONE}))
+                gens.append(poly_from_terms(poly_ring, {tuple(exps): _ONE}))
     for j in range(2, ring.matroid.n + 1):
         jbit = 1 << (j - 1)
         terms = {}
@@ -75,7 +76,7 @@ def ideal_generators(ring):
                 exps[idx] = 1
                 terms[tuple(exps)] = Fraction(c)
         if terms:
-            gens.append(Poly(poly_ring, terms))
+            gens.append(poly_from_terms(poly_ring, terms))
     return tuple(gens)
 
 

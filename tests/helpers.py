@@ -1,5 +1,6 @@
-"""Constructors the tests use and the library does not: polynomials from a
-term dict, and permutations from cycles, acting on bitmasks, composed."""
+"""Constructors and definitions the tests use and the library does not:
+polynomials from and to exponent-tuple term dicts, the tuple sort key of a
+monomial order, and permutations from cycles, acting on bitmasks, composed."""
 
 from matroidworks.errors import InputError
 from matroidworks.matroid import mask_elements
@@ -16,8 +17,30 @@ def poly_from_terms(ring, terms):
             raise InputError("exponent tuple has the wrong length")
         cc = ring.one().scale(c).constant_value()
         if not ring.field.is_zero(cc):
-            clean[tuple(exp)] = cc
+            clean[ring.monomial(exp)] = cc
     return Poly(ring, clean)
+
+
+def exponent_terms(p):
+    """The {exponent tuple: coefficient} terms of a polynomial."""
+    return {p.ring.exponents(m): c for m, c in p.terms.items()}
+
+
+def order_key(order, exps):
+    """The tuple sort key of an exponent tuple in a monomial order, by the
+    definition: degrevlex compares the degree, then the negated exponents
+    from the last; a block order compares the first block that way, then
+    the rest."""
+    s = order.block
+    if s is None:
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    head, tail = exps[:s], exps[s:]
+    return (
+        sum(head),
+        tuple(-e for e in reversed(head)),
+        sum(tail),
+        tuple(-e for e in reversed(tail)),
+    )
 
 
 def permutation_from_cycles(n, cycles):

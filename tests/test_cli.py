@@ -136,6 +136,24 @@ def test_realization_profile_chooses_one_chart(capsys, monkeypatch, extra):
     assert len(chosen) == 1
 
 
+def test_realization_of_rank_zero(capsys, tmp_path):
+    # the empty matrix has no first row to size the columns from
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"n": 3, "bases": [[]]}))
+    rc, d, _ = run_json(capsys, ["realization", "--file", str(path)])
+    assert rc == 0
+    assert (d["matrix"], d["variables"], d["verdict"]) == ([], [], "NonEmpty")
+    rc, out, _ = run(capsys, ["realization", "--file", str(path)])
+    assert rc == 0
+    assert out.splitlines()[:4] == [
+        "characteristic: 0",
+        "basis: []",
+        "matrix:",
+        "ideal generators (0):",
+    ]
+    assert out.splitlines()[-1] == "verdict: NonEmpty"
+
+
 def test_realization_profile_takes_no_char(capsys):
     # --profile sweeps every characteristic; a --char beside it would be
     # ignored, so it is bad input

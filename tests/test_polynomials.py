@@ -1,13 +1,16 @@
 """Polynomial arithmetic, monomial orders, division."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import poly_from_terms
+from helpers import order_key, poly_from_terms
 
-from matroidworks.errors import InputError, RingMismatch
+from matroidworks import groebner
+from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch
 from matroidworks.fields import prime_field, rationals
+from matroidworks.groebner import Ideal, buchberger
 from matroidworks.polynomials import (
     DEGREVLEX,
     ELIMINATE_FIRST,
@@ -88,41 +91,110 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
 
 def test_order_comparisons():
     # frozen comparisons in three variables
-    deg = DEGREVLEX
-    assert deg.key((1, 0, 0)) > deg.key((0, 1, 0)) > deg.key((0, 0, 1))
+    deg = qring().monomial
+    assert deg((1, 0, 0)) > deg((0, 1, 0)) > deg((0, 0, 1))
     # degrevlex ranks x*z below y^2 (last exponent decides, reversed)
-    assert deg.key((0, 2, 0)) > deg.key((1, 0, 1))
-    assert deg.key((0, 0, 2)) < deg.key((1, 0, 1))
-    b = ELIMINATE_FIRST
+    assert deg((0, 2, 0)) > deg((1, 0, 1))
+    assert deg((0, 0, 2)) < deg((1, 0, 1))
+    b = PolynomialRing(rationals(), ("x", "y", "z"), ELIMINATE_FIRST).monomial
     # any positive power of the first block dominates the second block
-    assert b.key((1, 0, 0)) > b.key((0, 9, 9))
-    assert b.key((0, 2, 0)) > b.key((0, 0, 2))
+    assert b((1, 0, 0)) > b((0, 9, 9))
+    assert b((0, 2, 0)) > b((0, 0, 2))
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, ELIMINATE_FIRST], ids=["degrevlex", "block"])
+def test_packed_monomials_match_tuple_definitions(order):
+    # int order, divisibility, lcm and products of packed monomials agree
+    # with the tuple definitions, small exponents and large ones alike
+    ring = PolynomialRing(rationals(), ("x", "y", "z", "w"), order)
+    rng = random.Random(2007)
+    limit = 2**15 - 1
+    exps = [(0, 0, 0, 0)]
+    for top in [3] * 40 + [8000] * 20:
+        exps.append(tuple(rng.randint(0, top) for _ in range(ring.nvars)))
+    packed = {e: ring.monomial(e) for e in exps}
+
+    def fits(e):
+        return all(sum(e[s:t]) <= limit for s, t in order.blocks(ring.nvars))
+
+    def terms(m):
+        return Poly(ring, {m: Fraction(1)})
+
+    for e, m in packed.items():
+        assert ring.exponents(m) == e
+    for a, b in itertools.product(exps, repeat=2):
+        ma, mb = packed[a], packed[b]
+        assert (ma < mb) == (order_key(order, a) < order_key(order, b))
+        divides = all(x <= y for x, y in zip(a, b))
+        assert (not (mb - ma) & ring.guard) == divides
+        if divides:
+            assert ring.exponents(mb - ma) == tuple(y - x for x, y in zip(a, b))
+        lcm = tuple(map(max, a, b))
+        product = tuple(x + y for x, y in zip(a, b))
+        if fits(lcm):
+            assert ring.exponents(groebner._lcm(ring, ma, mb)) == lcm
+        if fits(product):
+            assert ring.exponents((terms(ma) * terms(mb)).leading_exp()) == product
+            assert ma + mb == ring.monomial(product)
+        else:
+            with pytest.raises(DegreeBudgetExceeded):
+                terms(ma) * terms(mb)
+    # the leading monomial of a polynomial is the largest by the tuple key
+    for _ in range(50):
+        f = random_poly(rng, PolynomialRing(rationals(), ring.names, order))
+        if not f.is_zero():
+            lead = max(map(f.ring.exponents, f.terms), key=lambda e: order_key(order, e))
+            assert f.ring.exponents(f.leading_exp()) == lead
+
+
+def test_exponent_limit():
+    # every field holds 2^15 - 1; a larger exponent or degree is refused,
+    # never wrapped into another monomial
+    ring = qring("x", "y")
+    x, y = ring.gens()
+    top = x ** (2**15 - 1)
+    assert ring.exponents(top.leading_exp()) == (2**15 - 1, 0)
+    assert ring.monomial((2**15 - 1, 0)) == top.leading_exp()
+    with pytest.raises(DegreeBudgetExceeded):
+        x ** (2**15)
+    with pytest.raises(DegreeBudgetExceeded):
+        top * y  # each exponent fits, the degree does not
+    with pytest.raises(DegreeBudgetExceeded):
+        ring.monomial((2**14, 2**14))
+    # the pair x^20000 y, x y^20000 has an lcm of degree 40,000
+    with pytest.raises(DegreeBudgetExceeded):
+        buchberger(Ideal(ring, [x**20000 * y - ring.one(), x * y**20000 - ring.one()]))
 
 
 def test_leading_data():
     ring = qring()
     x, y, z = ring.gens()
     f = x * y + z * z * z
-    assert f.leading_exp(DEGREVLEX) == (0, 0, 3)
-    assert f.leading_exp(ELIMINATE_FIRST) == (1, 1, 0)
+    assert ring.exponents(f.leading_exp()) == (0, 0, 3)
+    block = PolynomialRing(rationals(), ring.names, ELIMINATE_FIRST)
+    bx, by, bz = block.gens()
+    assert block.exponents((bx * by + bz * bz * bz).leading_exp()) == (1, 1, 0)
     g = ring.one().scale(Fraction(3)) * x
-    assert g.leading_coeff(DEGREVLEX) == Fraction(3)
-    assert g.monic(DEGREVLEX) == x
+    assert g.leading_coeff() == Fraction(3)
+    assert g.monic() == x
     with pytest.raises(InputError):
-        ring.zero().leading_exp(DEGREVLEX)
+        ring.zero().leading_exp()
 
 
 def full_division(f, g):
     """f = q*g + r with no term of r divisible by lm(g), by the textbook
     loop that sets each indivisible leading term aside and goes on."""
-    lm = g.leading_exp(DEGREVLEX)
-    q, r, work = f.ring.zero(), f.ring.zero(), f
+    ring = f.ring
+    lm = g.leading_exp()
+    q, r, work = ring.zero(), ring.zero(), f
     while not work.is_zero():
-        e = work.leading_exp(DEGREVLEX)
-        term = Poly(f.ring, {e: work.terms[e]})
-        if all(a >= b for a, b in zip(e, lm)):
-            ratio = tuple(a - b for a, b in zip(e, lm))
-            shift = Poly(f.ring, {ratio: work.terms[e] / g.terms[lm]})
+        e = work.leading_exp()
+        term = Poly(ring, {e: work.terms[e]})
+        if all(a >= b for a, b in zip(ring.exponents(e), ring.exponents(lm))):
+            ratio = ring.monomial(
+                a - b for a, b in zip(ring.exponents(e), ring.exponents(lm))
+            )
+            shift = Poly(ring, {ratio: work.terms[e] / g.terms[lm]})
             q, work = q + shift, work - shift * g
         else:
             r, work = r + term, work - term

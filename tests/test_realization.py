@@ -35,7 +35,7 @@ from matroidworks.matroid import (
     matroid_from_bases,
     matroid_from_matrix,
 )
-from matroidworks.polynomials import DEGREVLEX, poly_str
+from matroidworks.polynomials import poly_str
 from matroidworks import groebner, realization
 from matroidworks.realization import (
     UNDECIDED,
@@ -215,7 +215,7 @@ def test_budget_trips_inside_simplification(monkeypatch, limit):
     )
     assert space.ideal_generators == tuple(
         groebner.sorted_unique(
-            p.monic(DEGREVLEX)
+            p.monic()
             for cols, p in minors.items()
             if cols not in basis_cols and not p.is_zero()
         )
