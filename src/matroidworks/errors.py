@@ -35,9 +35,9 @@ class Budget:
     """Limits on capped work; past one, the computation raises BudgetError.
 
     pair_reductions caps the S-pair reductions of one Buchberger run,
-    search_nodes the values tried by one GF(q) point search or isomorphism
-    search, and ingleton_quadruples the quadruples one Ingleton search
-    checks in full.  Each computation reads its limit when it starts.
+    search_nodes the values tried by one GF(q) point search, isomorphism
+    test or automorphism group, and ingleton_quadruples the quadruples one
+    Ingleton search checks in full.  Each computation reads its limit when it starts.
     """
 
     pair_reductions: int = 1_000_000

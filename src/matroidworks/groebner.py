@@ -402,14 +402,16 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
     """The saturation I : u^inf for u the product of the inequations, as its
     reduced degrevlex basis.
 
-    The inequations are first simplified by reduce_inequations modulo a
-    Groebner basis of I; if one lies in I the saturation is the unit ideal
-    outright, and the zero ideal is its own saturation since the polynomial
-    ring is a domain.  Then I is saturated by one factor at a time, in that
-    order: I : (uv)^inf = (I : u^inf) : v^inf, and each Rabinowitsch run
-    carries one small factor where the product's terms and degree grow with
-    every factor (1,940 terms in degree 20 for pappus unsimplified).  A unit
-    in any step's result makes the saturation the unit ideal.  The last
+    The zero ideal is its own saturation, since the polynomial ring is a
+    domain, unless an inequation is zero; that is decided before any
+    inequation is reduced.  Otherwise the inequations are first simplified
+    by reduce_inequations modulo a Groebner basis of I; if one lies in I the
+    saturation is the unit ideal outright.  Then I is saturated by one
+    factor at a time, in that order: I : (uv)^inf = (I : u^inf) : v^inf,
+    and each Rabinowitsch run carries one small factor where the product's
+    terms and degree grow with every factor (1,940 terms in degree 20 for
+    pappus unsimplified).  A unit in any step's result makes the saturation
+    the unit ideal.  The last
     step's result is returned as it stands: the t-free part of a reduced
     elimination basis is the reduced basis of the eliminated ideal in the
     restricted order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
@@ -423,12 +425,16 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
         return Ideal(ring, (ring.one(),))
     if any(u.ring != ring for u in inequations):
         raise RingMismatch("inequation over the wrong ring")
+    if not gb.elements:
+        # I = 0 in a domain: 0 : u^inf is 0, unless u is 0 itself
+        if any(u.is_zero() for u in inequations):
+            return Ideal(ring, (ring.one(),))
+        return Ideal(ring, ())
     factors = reduce_inequations(inequations, gb.elements)
     if factors is None:
         # some u lies in I, so 1 * u^1 is in I and the saturation is everything
         return Ideal(ring, (ring.one(),))
-    if not factors or not gb.elements:
-        # nothing left to invert, or I = 0 in a domain where 0 : u^inf = 0
+    if not factors:
         return Ideal(ring, gb.elements)
     result = gb.elements
     for f in factors:

@@ -1,6 +1,7 @@
 """Constructors and definitions the tests use and the library does not:
 polynomials from and to exponent-tuple term dicts, the tuple sort key of a
-monomial order, and permutations from cycles, acting on bitmasks, composed."""
+monomial order, permutations from cycles, acting on bitmasks, composed, and
+the elements of a permutation group, closed from its generators."""
 
 from matroidworks.errors import InputError
 from matroidworks.matroid import mask_elements
@@ -64,3 +65,19 @@ def compose(p, q):
     if p.n != q.n:
         raise InputError("permutation size mismatch")
     return Permutation(tuple(p.apply(q.apply(e)) for e in range(1, p.n + 1)))
+
+
+def group_elements(group):
+    """Every element of a PermutationGroup as an image tuple, by closing its
+    generators under composition from the identity."""
+    identity = tuple(range(1, group.n + 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in group.generators:
+            nxt = tuple(g.images[c - 1] for c in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)

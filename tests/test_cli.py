@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,14 @@ def test_info_aut_flag(capsys):
     assert d["automorphism_group_order"] == 168
     rc, d, _ = run_json(capsys, ["info", "--name", "fano"])
     assert "automorphism_group_order" not in d
+
+
+def test_info_aut_of_a_uniform_matroid(capsys):
+    # the stabilizer chain searches one automorphism per orbit point, so
+    # 10! automorphisms take 54 search nodes
+    rc, d, _ = run_json(capsys, ["info", "--aut", "--name", "uniform(5,10)"])
+    assert rc == 0
+    assert d["automorphism_group_order"] == 3628800
 
 
 def test_info_text_mode(capsys):
@@ -551,3 +562,28 @@ def test_deterministic_output(capsys):
     rc1, out1, _ = run(capsys, ["chow", "--name", "k4", "--format", "json"])
     rc2, out2, _ = run(capsys, ["chow", "--name", "k4", "--format", "json"])
     assert (rc1, out1) == (rc2, out2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--aut", "--name", "pappus"],
+        ["info", "--aut", "--name", "uniform(5,10)"],
+        ["realization", "--profile", "--name", "fano"],
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    src = str(Path(__file__).parent.parent / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidworks.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0

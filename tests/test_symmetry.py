@@ -1,14 +1,23 @@
 """Automorphism groups and isomorphism search."""
 
 import itertools
+import math
 import random
 
 import pytest
-from helpers import apply_mask, compose, permutation_from_cycles
+from helpers import apply_mask, compose, group_elements, permutation_from_cycles
 
-from matroidworks.catalog import fano, graphic_k4, non_fano, pappus, uniform, vamos
+from matroidworks.catalog import (
+    fano,
+    graphic_k4,
+    moebius_kantor,
+    non_fano,
+    pappus,
+    uniform,
+    vamos,
+)
 from matroidworks.errors import SearchBudgetExceeded, budget
-from matroidworks.matroid import mask_elements, matroid_from_bases
+from matroidworks.matroid import mask_elements, matroid_from_bases, matroid_from_graph
 from matroidworks.symmetry import (
     SEARCH_MAX_GROUND,
     Permutation,
@@ -39,7 +48,7 @@ def test_rank2_example_group_order_exhaustive():
     assert len(brute) == 4
     g = automorphism_group(m)
     assert g.order == 4
-    assert sorted(p for p in g.elements()) == sorted(brute)
+    assert sorted(group_elements(g)) == sorted(brute)
 
 
 def test_fano_group_order():
@@ -48,20 +57,47 @@ def test_fano_group_order():
 
 def test_k4_group_order_matches_brute_force():
     m = graphic_k4()
-    assert automorphism_group(m).order == len(brute_force_automorphisms(m))
+    brute = brute_force_automorphisms(m)
+    g = automorphism_group(m)
+    assert g.order == len(brute)
+    assert group_elements(g) == set(brute)
 
 
 def test_uniform_group_is_symmetric_group():
     m = uniform(2, 4)
-    assert automorphism_group(m).order == 24
+    g = automorphism_group(m)
+    assert g.order == 24
+    assert group_elements(g) == set(brute_force_automorphisms(m))
+
+
+@pytest.mark.parametrize(
+    "r,n",
+    sorted(
+        {(r, n) for n in range(1, SEARCH_MAX_GROUND + 1) for r in (0, 1, n // 2, n - 1, n)}
+    ),
+)
+def test_uniform_chain_order_is_n_factorial(r, n):
+    # the stabilizer chain finds one automorphism per orbit point, so even
+    # U(6,12), with 479,001,600 automorphisms, takes 77 search nodes
+    with budget(search_nodes=n * (n + 1) // 2):
+        assert automorphism_group(uniform(r, n)).order == math.factorial(n)
 
 
 def test_every_group_element_preserves_bases():
     for m in [rank2_example(), graphic_k4(), uniform(2, 4)]:
         g = automorphism_group(m)
         basis_set = set(m.bases)
-        for images in g.elements():
+        for images in group_elements(g):
             p = Permutation(images)
+            assert {apply_mask(p, b) for b in m.bases} == basis_set
+
+
+def test_every_generator_preserves_bases():
+    pool = [rank2_example(), graphic_k4(), fano(), non_fano(), vamos(), pappus()]
+    pool += [moebius_kantor(), desargues(), graphic_k5(), uniform(5, 10)]
+    for m in pool:
+        basis_set = set(m.bases)
+        for p in automorphism_group(m).generators:
             assert {apply_mask(p, b) for b in m.bases} == basis_set
 
 
@@ -139,7 +175,7 @@ def test_search_matches_brute_force_on_relabelings_and_line_configurations():
         images = list(range(1, m.n + 1))
         rng.shuffle(images)
         m2 = relabel(m, Permutation(images))
-        assert automorphism_group(m2).elements() == brute_force_isomorphisms(m2, m2)
+        assert group_elements(automorphism_group(m2)) == brute_force_isomorphisms(m2, m2)
         witness = is_isomorphic(m, m2)
         assert witness is not None
         assert witness.images in brute_force_isomorphisms(m, m2)
@@ -166,9 +202,35 @@ def test_subset_check_separates_equal_degree_configurations():
     assert is_isomorphic(cycle, triangle) is None
 
 
+def desargues():
+    return line_configuration(10, [
+        (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 8), (2, 6, 9),
+        (4, 6, 10), (3, 5, 8), (3, 7, 9), (5, 7, 10), (8, 9, 10),
+    ])
+
+
+def graphic_k5():
+    return matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))
+
+
+@pytest.mark.parametrize(
+    "build,order",
+    [(vamos, 64), (pappus, 108), (moebius_kantor, 48), (desargues, 120), (graphic_k5, 120)],
+)
+def test_known_orders_under_seeded_relabelings(build, order):
+    rng = random.Random(f"aut:{build.__name__}")
+    m = build()
+    for _ in range(3):
+        images = list(range(1, m.n + 1))
+        rng.shuffle(images)
+        assert automorphism_group(relabel(m, Permutation(images))).order == order
+
+
 def test_rank_zero_group_is_symmetric_group():
     m = matroid_from_bases(3, [[]])
-    assert automorphism_group(m).order == 6
+    g = automorphism_group(m)
+    assert g.order == 6
+    assert group_elements(g) == set(itertools.permutations(range(1, 4)))
     assert is_isomorphic(m, m) is not None
 
 
@@ -192,6 +254,16 @@ def test_node_budget():
     with budget(search_nodes=5), pytest.raises(SearchBudgetExceeded):
         is_isomorphic(pappus(), pappus())
     assert automorphism_group(pappus()).order == 108
+
+
+@pytest.mark.parametrize("build,nodes", [(fano, 38), (pappus, 278)])
+def test_chain_node_count(build, nodes):
+    # one budget for every search of one call: the chain on fano tries 38
+    # images in all, on pappus 278, at the standard labels
+    with budget(search_nodes=nodes - 1), pytest.raises(SearchBudgetExceeded):
+        automorphism_group(build())
+    with budget(search_nodes=nodes):
+        automorphism_group(build())
 
 
 def test_permutation_algebra():
