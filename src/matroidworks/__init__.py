@@ -106,6 +106,7 @@ from .realization import (
     is_realizable_over_q,
     realizability_table,
     realization_space,
+    realization_spaces,
 )
 from .symmetry import Permutation, PermutationGroup, automorphism_group, is_isomorphic
 

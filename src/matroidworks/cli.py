@@ -49,6 +49,7 @@ from .matroid import (
 from .realization import (
     SpaceVerdict,
     realization_space,
+    realization_spaces,
     realizability_table,
 )
 from .symmetry import automorphism_group
@@ -244,14 +245,11 @@ def cmd_realization(args) -> int:
     if args.profile:
         rows = []
         any_undecided = False
-        basis = None
-        for c in PROFILE_CHARACTERISTICS:
-            space = realization_space(m, c, simplify=simplify, basis=basis)
-            basis = space.basis
+        for space in realization_spaces(m, PROFILE_CHARACTERISTICS, simplify):
             any_undecided |= space.verdict is SpaceVerdict.UNDECIDED
             rows.append(
                 {
-                    "characteristic": c,
+                    "characteristic": space.characteristic,
                     "verdict": space.verdict.value,
                     "free_variables": space.num_free_variables,
                 }

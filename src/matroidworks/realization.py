@@ -10,6 +10,10 @@ inequations.  When an inequation lies in the ideal the verdict is Empty
 at once, and the space keeps the inequations as they were before that
 reduction, so its stored presentation still has no points.
 
+The chart depends only on the matroid and its minors have integer
+coefficients, so a sweep over characteristics (realization_spaces) takes
+the minors once over Q and reduces them mod p for each characteristic.
+
 Emptiness is decided over the algebraic closure of the prime field: the
 space is empty for characteristic c exactly when 1 lies in the saturation.
 Realizability over a specific finite field F_q is a separate, exhaustive
@@ -40,6 +44,7 @@ from .fields import (
     factor_prime_power,
     field_of_characteristic,
     field_of_order,
+    rationals,
 )
 from .groebner import (
     Ideal,
@@ -53,7 +58,7 @@ from .groebner import (
 )
 from .linalg import ExactMatrix, MinorOracle
 from .matroid import Matroid, mask_elements, mask_of, matroid_from_matrix
-from .polynomials import PolynomialRing, poly_str
+from .polynomials import Poly, PolynomialRing, poly_str
 
 # Unused here; the benchmark tracer wraps them as attributes of this module.
 from .groebner import normal_form  # noqa: F401
@@ -137,10 +142,8 @@ def choose_basis(m: Matroid) -> tuple[int, ...]:
     return mask_elements(best[1])
 
 
-def build_parameterized_matrix(
-    m: Matroid, basis: Sequence[int], field: Optional[Field] = None
-):
-    """The r x n symbolic matrix for the given basis, and its ring.
+def build_parameterized_matrix(m: Matroid, basis: Sequence[int]):
+    """The r x n symbolic matrix over Q for the given basis, and its ring.
 
     The basis columns carry the identity; every other entry is fixed to 0
     (non-basis exchange), fixed to 1 (mu/nu normalization), or a fresh
@@ -148,40 +151,25 @@ def build_parameterized_matrix(
     Returns (ring, grid) where grid is an r x n tuple of rows of
     polynomials over ring.
     """
-    if field is None:
-        field = field_of_characteristic(0)
     basis_mask = mask_of(basis, m.n)
     if not m.is_basis(basis_mask):
         raise InputError(f"{sorted(basis)} is not a basis")
     b_elems, c_elems, plan = _matrix_skeleton(m, basis_mask)
-    names, slot_at = [], {}
-    for i in range(len(b_elems)):
-        for j in range(len(c_elems)):
-            if plan[i][j] == "var":
-                slot_at[i, j] = len(names)
-                names.append(f"x_{{{i + 1},{j + 1}}}")
-    ring = PolynomialRing(field, names)
-    r, n = m.rank, m.n
-    col_of = {}
-    for j, e in enumerate(c_elems):
-        col_of[e] = ("grid", j)
-    for i, e in enumerate(b_elems):
-        col_of[e] = ("unit", i)
+    names = [
+        f"x_{{{i + 1},{j + 1}}}"
+        for i, row in enumerate(plan)
+        for j, tag in enumerate(row)
+        if tag == "var"
+    ]
+    ring = PolynomialRing(rationals(), names)
+    fixed = {"zero": ring.zero(), "one": ring.one()}
+    variables = iter(ring.gens())
     grid = []
-    for i in range(r):
-        row = []
-        for e in range(1, n + 1):
-            kind, pos = col_of[e]
-            if kind == "unit":
-                row.append(ring.one() if pos == i else ring.zero())
-            else:
-                tag = plan[i][pos]
-                if tag == "zero":
-                    row.append(ring.zero())
-                elif tag == "one":
-                    row.append(ring.one())
-                else:
-                    row.append(ring.var(slot_at[i, pos]))
+    for i, b in enumerate(b_elems):
+        row = [ring.zero()] * m.n
+        row[b - 1] = ring.one()
+        for c, tag in zip(c_elems, plan[i]):
+            row[c - 1] = next(variables) if tag == "var" else fixed[tag]
         grid.append(tuple(row))
     return ring, tuple(grid)
 
@@ -199,10 +187,6 @@ class RealizationSpace:
     verdict: SpaceVerdict
 
     @property
-    def variable_names(self) -> tuple[str, ...]:
-        return self.ring.names
-
-    @property
     def free_variables(self) -> tuple[str, ...]:
         return tuple(self.ring.names[i] for i in _free_indices(self))
 
@@ -214,7 +198,7 @@ class RealizationSpace:
         return {
             "characteristic": self.characteristic,
             "basis": list(self.basis),
-            "variables": list(self.variable_names),
+            "variables": list(self.ring.names),
             "free_variables": list(self.free_variables),
             "ideal_generators": [poly_str(g) for g in self.ideal_generators],
             "inequations": [poly_str(u) for u in self.inequations],
@@ -267,67 +251,89 @@ def _simplify(ring, gens, ineqs):
     return tuple(gens), tuple(ineqs), tuple(subs), False
 
 
-def realization_space(
-    m: Matroid,
-    characteristic: int,
-    simplify: bool = True,
-    basis: Optional[Sequence[int]] = None,
-) -> RealizationSpace:
-    """The realization space of m over fields of the given characteristic.
+def realization_spaces(
+    m: Matroid, characteristics: Sequence[int], simplify: bool = True
+) -> tuple[RealizationSpace, ...]:
+    """The realization spaces of m over the given characteristics, in order.
 
-    The chart is the given basis, else choose_basis(m); sweeps over
-    characteristics pass the first space's basis to the rest.  The verdict
-    is Empty exactly when the saturation of the defining ideal at the
-    inequations is the unit ideal, which decides realizability over the
-    algebraic closure.  Budget exhaustion yields verdict Undecided.  A trip
-    in the simplification loop keeps the raw minors (no substitutions, the
-    monic non-basis minors, every basis minor with constants and repeats);
-    a trip in the saturation keeps the simplified presentation.
+    The chart is choose_basis(m); its matrix and maximal minors are built
+    once over Q.  The minors have integer coefficients and reduction mod p
+    commutes with the determinant, so each characteristic maps them into
+    its field.  The verdict is Empty exactly when the saturation of the
+    defining ideal at the inequations is the unit ideal, which decides
+    realizability over the algebraic closure.  Budget exhaustion yields
+    verdict Undecided in that characteristic alone.  A trip in the
+    simplification loop keeps the raw minors (no substitutions, the monic
+    non-basis minors, every basis minor with constants and repeats); a trip
+    in the saturation keeps the simplified presentation.
     """
-    field = field_of_characteristic(characteristic)
-    if basis is None:
-        basis = choose_basis(m)
-    elif m.rank > 0 and m.loops():
-        raise LoopPresent(f"loops {list(m.loops())} admit no realization chart")
-    ring, grid = build_parameterized_matrix(m, basis, field)
-    gens = []
-    ineqs = []
+    if not characteristics:
+        return ()
+    basis = choose_basis(m)
+    rational_ring, rational_grid = build_parameterized_matrix(m, basis)
+    minors = []
     if m.rank > 0:
-        oracle = MinorOracle(grid)
-        for cols in itertools.combinations(range(m.n), m.rank):
-            minor = oracle.det(cols)
-            if m.is_basis(sum(1 << c for c in cols)):
+        oracle = MinorOracle(rational_grid)
+        minors = [
+            (m.is_basis(sum(1 << c for c in cols)), oracle.det(cols))
+            for cols in itertools.combinations(range(m.n), m.rank)
+        ]
+    spaces = []
+    for characteristic in characteristics:
+        field = field_of_characteristic(characteristic)
+        ring = PolynomialRing(field, rational_ring.names)
+
+        def into(p: Poly) -> Poly:
+            terms = ((e, field.coerce(c)) for e, c in p.terms.items())
+            return Poly(ring, {e: c for e, c in terms if not field.is_zero(c)})
+
+        gens = []
+        ineqs = []
+        for is_basis, minor in minors:
+            minor = into(minor)
+            if is_basis:
                 ineqs.append(minor)
             elif not minor.is_zero():
                 gens.append(minor.monic())
-    gens = sorted_unique(gens)
+        gens = sorted_unique(gens)
 
-    subs: tuple = ()
-    try:
-        if simplify:
-            gens, ineqs, subs, empty = _simplify(ring, gens, ineqs)
-        else:
-            reduced = reduce_inequations(ineqs, ())
-            empty = reduced is None
-            if not empty:
-                ineqs = reduced
-        if empty or has_unit(saturate(Ideal(ring, gens), list(ineqs)).gens):
-            verdict = SpaceVerdict.EMPTY
-        else:
-            verdict = SpaceVerdict.NONEMPTY
-    except DegreeBudgetExceeded:
-        verdict = SpaceVerdict.UNDECIDED
-    return RealizationSpace(
-        matroid=m,
-        characteristic=characteristic,
-        basis=tuple(sorted(basis)),
-        ring=ring,
-        matrix=grid,
-        ideal_generators=tuple(gens),
-        inequations=tuple(ineqs),
-        substitutions=tuple(subs),
-        verdict=verdict,
-    )
+        subs: tuple = ()
+        try:
+            if simplify:
+                gens, ineqs, subs, empty = _simplify(ring, gens, ineqs)
+            else:
+                reduced = reduce_inequations(ineqs, ())
+                empty = reduced is None
+                if not empty:
+                    ineqs = reduced
+            if empty or has_unit(saturate(Ideal(ring, gens), list(ineqs)).gens):
+                verdict = SpaceVerdict.EMPTY
+            else:
+                verdict = SpaceVerdict.NONEMPTY
+        except DegreeBudgetExceeded:
+            verdict = SpaceVerdict.UNDECIDED
+        spaces.append(
+            RealizationSpace(
+                matroid=m,
+                characteristic=characteristic,
+                basis=basis,
+                ring=ring,
+                matrix=tuple(tuple(map(into, row)) for row in rational_grid),
+                ideal_generators=tuple(gens),
+                inequations=tuple(ineqs),
+                substitutions=tuple(subs),
+                verdict=verdict,
+            )
+        )
+    return tuple(spaces)
+
+
+def realization_space(
+    m: Matroid, characteristic: int, simplify: bool = True
+) -> RealizationSpace:
+    """The realization space of m over fields of the given characteristic:
+    realization_spaces for that characteristic alone."""
+    return realization_spaces(m, (characteristic,), simplify)[0]
 
 
 def is_realizable(m: Matroid, characteristic: int):
@@ -462,20 +468,15 @@ def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
 def realizability_table(m: Matroid, q_max: int) -> dict[int, bool]:
     """is_realizable_over_q for every prime power q <= q_max, ascending.
 
-    Each characteristic's space is built once, at its smallest q, and
-    searched for every power of that prime.  The chart is chosen once, at
-    the first characteristic, and reused for the rest.
+    One sweep builds the space of each prime p <= q_max, in ascending
+    order, and each space is searched for every power of its prime.
     """
-    out: dict[int, bool] = {}
-    spaces: dict[int, RealizationSpace] = {}
-    basis = None
+    prime_of: dict[int, int] = {}
     for q in range(2, q_max + 1):
         try:
-            p, _ = factor_prime_power(q)
+            prime_of[q], _ = factor_prime_power(q)
         except InputError:
             continue
-        if p not in spaces:
-            spaces[p] = realization_space(m, p, basis=basis)
-            basis = spaces[p].basis
-        out[q] = _realizable_in(spaces[p], q)
-    return out
+    primes = sorted(set(prime_of.values()))
+    space_of = dict(zip(primes, realization_spaces(m, primes)))
+    return {q: _realizable_in(space_of[p], q) for q, p in prime_of.items()}

@@ -138,8 +138,8 @@ def test_realization_profile(capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--no-simplify"]], ids=["simplify", "no-simplify"])
 def test_realization_profile_chooses_one_chart(capsys, monkeypatch, extra):
-    # the chart depends only on the matroid: the first characteristic
-    # chooses it and the other six reuse it
+    # the chart depends only on the matroid: one sweep chooses it for all
+    # seven characteristics
     chosen = count_chart_choices(monkeypatch)
     rc, d, _ = run_json(capsys, ["realization", "--name", "pappus", "--profile"] + extra)
     assert rc == 0
@@ -570,6 +570,8 @@ def test_deterministic_output(capsys):
         ["info", "--aut", "--name", "pappus"],
         ["info", "--aut", "--name", "uniform(5,10)"],
         ["realization", "--profile", "--name", "fano"],
+        ["realizable-q", "--name", "pappus", "--qmax", "13"],
+        ["realization", "--profile", "--no-simplify", "--name", "non_fano"],
     ],
 )
 def test_output_does_not_depend_on_the_hash_seed(argv):

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from matroidworks.catalog import (
+    catalog,
     fano,
     graphic_k4,
     moebius_kantor,
@@ -28,17 +29,25 @@ from matroidworks.errors import (
     SearchBudgetExceeded,
     budget,
 )
-from matroidworks.fields import factor_prime_power, field_of_order
+from matroidworks.cli import PROFILE_CHARACTERISTICS, main
+from matroidworks.fields import (
+    factor_prime_power,
+    field_of_characteristic,
+    field_of_order,
+)
+from matroidworks.linalg import MinorOracle
 from matroidworks.matroid import (
     Matroid,
     mask_elements,
+    mask_of,
     matroid_from_bases,
     matroid_from_matrix,
 )
-from matroidworks.polynomials import poly_str
+from matroidworks.polynomials import PolynomialRing, poly_str
 from matroidworks import groebner, realization
 from matroidworks.realization import (
     UNDECIDED,
+    RealizationSpace,
     SpaceVerdict,
     _free_indices,
     _search_points,
@@ -48,6 +57,7 @@ from matroidworks.realization import (
     is_realizable_over_q,
     realizability_table,
     realization_space,
+    realization_spaces,
 )
 
 
@@ -139,7 +149,11 @@ def test_verdict_independent_of_basis_choice():
         if default not in picks:
             picks.append(default)
         for b in picks:
-            assert realization_space(m, 0, basis=b).verdict is expected
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(realization, "choose_basis", lambda _, b=b: b)
+                space = realization_space(m, 0)
+            assert space.basis == b
+            assert space.verdict is expected
 
 
 def test_simplify_off_agrees_on_verdicts():
@@ -393,25 +407,41 @@ def count_chart_choices(monkeypatch):
     return chosen
 
 
-def test_table_builds_one_space_per_characteristic(monkeypatch):
-    built = []
-    original = realization.realization_space
+SWEEP_MATROIDS = [
+    "fano", "non_fano", "vamos", "moebius_kantor", "pappus", "k4", "uniform(3,6)",
+]
 
-    def counting(m, characteristic, *args, **kwargs):
-        built.append(characteristic)
-        return original(m, characteristic, *args, **kwargs)
 
-    monkeypatch.setattr(realization, "realization_space", counting)
+def count_minors(monkeypatch):
+    """The columns of each top-level MinorOracle.det call, filled in as it runs."""
+    taken = []
+    original = MinorOracle.det
+
+    def counting(self, cols, rows=None):
+        taken.append(tuple(cols))
+        return original(self, cols, rows)
+
+    monkeypatch.setattr(MinorOracle, "det", counting)
+    return taken
+
+
+def test_sweeps_choose_one_chart_and_take_each_minor_once(monkeypatch, capsys):
+    # realizable-q and realization --profile each sweep every characteristic
+    # they need from one chart and one determinant per maximal minor
     chosen = count_chart_choices(monkeypatch)
-    for m in (
-        fano(), non_fano(), vamos(), moebius_kantor(), pappus(), graphic_k4(),
-        uniform(3, 6),
-    ):
-        built.clear()
+    taken = count_minors(monkeypatch)
+    for name in SWEEP_MATROIDS:
+        m = catalog(name)
+        minors = list(itertools.combinations(range(m.n), m.rank))
         chosen.clear()
+        taken.clear()
         table = realizability_table(m, 13)
-        assert built == [2, 3, 5, 7, 11, 13]
-        assert chosen == [m]
+        assert (chosen, sorted(taken)) == ([m], minors)
+        chosen.clear()
+        taken.clear()
+        assert main(["realization", "--profile", "--name", name]) == 0
+        capsys.readouterr()
+        assert (chosen, sorted(taken)) == ([m], minors)
         assert table == {q: is_realizable_over_q(m, q) for q in table}
         assert list(table) == [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -439,3 +469,127 @@ def test_empty_presentations_have_no_points(name):
         space = realization_space(m, p)
         if space.verdict is SpaceVerdict.EMPTY and p ** space.num_free_variables <= 10_000:
             assert brute_force_points(space, p) == []
+
+
+# -- the sweep against minors taken in each field -----------------------------
+
+
+def reference_space(m, characteristic, simplify):
+    """The space of one characteristic with no reduction mod p: the chart's
+    grid is built in that characteristic's field and its minors are taken
+    there by their own MinorOracle; the rest is the pipeline's body."""
+    field = field_of_characteristic(characteristic)
+    basis = choose_basis(m)
+    b_elems, c_elems, plan = realization._matrix_skeleton(m, mask_of(basis, m.n))
+    cells = [
+        (i, j) for i in range(len(b_elems)) for j in range(len(c_elems))
+        if plan[i][j] == "var"
+    ]
+    ring = PolynomialRing(field, [f"x_{{{i + 1},{j + 1}}}" for i, j in cells])
+    grid = []
+    for i in range(len(b_elems)):
+        row = []
+        for e in range(1, m.n + 1):
+            if e in b_elems:
+                row.append(ring.one() if b_elems.index(e) == i else ring.zero())
+                continue
+            j = c_elems.index(e)
+            tag = plan[i][j]
+            if tag == "var":
+                row.append(ring.var(cells.index((i, j))))
+            else:
+                row.append(ring.one() if tag == "one" else ring.zero())
+        grid.append(tuple(row))
+    gens, ineqs = [], []
+    if m.rank > 0:
+        oracle = MinorOracle(grid)
+        for cols in itertools.combinations(range(m.n), m.rank):
+            minor = oracle.det(cols)
+            if m.is_basis(sum(1 << c for c in cols)):
+                ineqs.append(minor)
+            elif not minor.is_zero():
+                gens.append(minor.monic())
+    gens = groebner.sorted_unique(gens)
+    subs = ()
+    try:
+        if simplify:
+            gens, ineqs, subs, empty = realization._simplify(ring, gens, ineqs)
+        else:
+            reduced = groebner.reduce_inequations(ineqs, ())
+            empty = reduced is None
+            ineqs = ineqs if empty else reduced
+        ideal = groebner.Ideal(ring, gens)
+        if empty or groebner.has_unit(groebner.saturate(ideal, list(ineqs)).gens):
+            verdict = SpaceVerdict.EMPTY
+        else:
+            verdict = SpaceVerdict.NONEMPTY
+    except DegreeBudgetExceeded:
+        verdict = SpaceVerdict.UNDECIDED
+    return RealizationSpace(
+        m, characteristic, basis, ring, tuple(grid), tuple(gens), tuple(ineqs),
+        tuple(subs), verdict,
+    )
+
+
+def assert_same_space(space, expected):
+    assert space.to_json_dict() == expected.to_json_dict()
+    assert space == expected
+
+
+@pytest.mark.parametrize("simplify", [True, False], ids=["simplify", "no-simplify"])
+@pytest.mark.parametrize("name", SWEEP_MATROIDS)
+def test_sweep_matches_minors_taken_in_each_field(name, simplify):
+    m = catalog(name)
+    spaces = realization_spaces(m, PROFILE_CHARACTERISTICS, simplify)
+    assert [s.characteristic for s in spaces] == list(PROFILE_CHARACTERISTICS)
+    for space in spaces:
+        assert_same_space(space, reference_space(m, space.characteristic, simplify))
+
+
+def test_empty_sweep_chooses_no_chart(monkeypatch):
+    chosen = count_chart_choices(monkeypatch)
+    looped = matroid_from_bases(3, [[1, 2]])
+    assert realization_spaces(looped, ()) == ()
+    assert realizability_table(looped, 1) == {}
+    assert chosen == []
+    with pytest.raises(LoopPresent):
+        realization_spaces(looped, (0, 2))
+    with pytest.raises(LoopPresent):
+        realizability_table(looped, 2)
+
+
+@pytest.mark.parametrize("limit", [0, 2, 5])
+def test_budget_trips_leave_the_sweep_alone(limit):
+    # a budget caps each Groebner run, so every characteristic of the sweep
+    # gets the spaces, Undecided or not, that it gets on its own
+    m = pappus()
+    with budget(pair_reductions=limit):
+        swept = realization_spaces(m, PROFILE_CHARACTERISTICS)
+        alone = [realization_space(m, c) for c in PROFILE_CHARACTERISTICS]
+        for space, expected in zip(swept, alone):
+            assert_same_space(space, expected)
+            assert_same_space(space, reference_space(m, space.characteristic, True))
+    assert (limit < 5) == all(s.verdict is SpaceVerdict.UNDECIDED for s in swept)
+
+
+def test_trip_in_one_characteristic_keeps_the_others(monkeypatch):
+    m = pappus()
+    full = realization_spaces(m, PROFILE_CHARACTERISTICS)
+    inner = realization._simplify
+
+    def tripping(ring, gens, ineqs):
+        if ring.field.characteristic == 3:
+            raise DegreeBudgetExceeded("tripped in characteristic 3")
+        return inner(ring, gens, ineqs)
+
+    monkeypatch.setattr(realization, "_simplify", tripping)
+    swept = realization_spaces(m, PROFILE_CHARACTERISTICS)
+    for space, expected in zip(swept, full):
+        if space.characteristic == 3:
+            # the raw minors: no substitutions, every basis minor kept
+            assert space.verdict is SpaceVerdict.UNDECIDED
+            assert space.substitutions == ()
+            assert len(space.inequations) == 75
+            assert_same_space(space, reference_space(m, 3, True))
+        else:
+            assert_same_space(space, expected)
