@@ -314,6 +314,8 @@ class ChowRing:
             mask = mask_of(key, self.matroid.n)
         idx = self.flat_index.get(mask)
         if idx is None:
+            if not 0 <= mask < 1 << self.matroid.n:
+                raise InputError(f"mask {mask} outside ground set 1..{self.matroid.n}")
             raise InputError(
                 f"{sorted(mask_elements(mask))} is not a nonempty proper flat"
             )

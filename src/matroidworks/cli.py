@@ -14,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .catalog import catalog
 from .chow import (
@@ -42,7 +44,6 @@ from .invariants import (
 )
 from .matroid import (
     Matroid,
-    mask_elements,
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
@@ -157,16 +158,42 @@ def _load_matroid(args) -> Matroid:
     return matroid_from_json_dict(data)
 
 
+def _indented(obj, pad: str = "\n") -> str:
+    """Exactly the text of ``json.dumps(obj, indent=2)`` for string-keyed
+    dicts, with lists of ints or strings, and int matrices, joined in C."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        body = (f"{_quoted(k)}: {_indented(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        body = map(int.__repr__, obj)
+    elif kinds == {str}:
+        body = map(_quoted, obj)
+    elif (
+        type(obj) is list
+        and kinds == {list}
+        and all(obj)
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        # repr gives "[[1, 2], [3]]"; the row break first, as it holds ", "
+        deeper = inner + "  "
+        rows = repr(obj)[2:-2].replace("], [", f"{inner}],{inner}[{deeper}")
+        rows = rows.replace(", ", "," + deeper)
+        return f"[{inner}[{deeper}{rows}{inner}]{pad}]"
+    else:
+        body = (_indented(x, inner) for x in obj)
+    return "[" + inner + ("," + inner).join(body) + pad + "]"
+
+
 def _emit(args, report: dict, text_lines) -> None:
     if args.fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_indented(report))
     else:
         for line in text_lines:
             print(line)
-
-
-def _sets(masks) -> list[list[int]]:
-    return [list(mask_elements(f)) for f in masks]
 
 
 # -- info -------------------------------------------------------------------
@@ -176,14 +203,14 @@ def cmd_info(args) -> int:
     m = _load_matroid(args)
     flats_by_rank = {}
     for r in range(m.rank + 1):
-        flats_by_rank[str(r)] = _sets(m.flats(r))
+        flats_by_rank[str(r)] = m.flats(r).as_lists()
     report = {
         "matroid": matroid_to_json_dict(m),
         "n": m.n,
         "rank": m.rank,
         "num_bases": len(m.bases),
         "loops": list(m.loops()),
-        "circuits": _sets(m.circuits()),
+        "circuits": m.circuits().as_lists(),
         "flats_by_rank": flats_by_rank,
     }
     if args.aut:

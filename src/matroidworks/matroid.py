@@ -41,16 +41,24 @@ def mask_of(elements: Iterable[int], n: int) -> int:
     return m
 
 
+# _BYTE_ELEMENTS[k][b]: the elements of byte value b at byte k of a mask.
+# Built on the first call, so that importing the package stays cheap.
+_BYTE_ELEMENTS: list[list[tuple[int, ...]]] = []
+
+
 def mask_elements(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of the elements in a bitmask."""
-    out = []
-    e = 1
+    """Sorted tuple of the elements in a bitmask 0 <= mask < 2^64."""
+    table = _BYTE_ELEMENTS
+    if not table:
+        low = [tuple(e for e in range(1, 9) if b >> (e - 1) & 1) for b in range(256)]
+        table[:] = [[tuple(e + 8 * k for e in t) for t in low] for k in range(8)]
+    out = ()
+    k = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+        out += table[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return out
 
 
 class SubsetFamily:
@@ -66,8 +74,8 @@ class SubsetFamily:
         seen = set()
         for s in subsets:
             m = s if isinstance(s, int) else mask_of(s, n)
-            if m >> n:
-                raise InputError(f"subset {mask_elements(m)} outside ground set 1..{n}")
+            if m < 0 or m >> n:
+                raise InputError(f"subset mask {m} outside ground set 1..{n}")
             seen.add(m)
         self.n = n
         self.masks = tuple(sorted(seen, key=mask_elements))

@@ -457,6 +457,10 @@ def test_admissibility_guards():
         kahler_report(ring, -1, a)
     with pytest.raises(InputError):
         ring.element_from_flat_coeffs({(1, 2, 3, 4, 5, 6): 1})
+    # an int key is checked before it is listed; the listing of -1 never ended
+    for mask in (-1, 1 << 6, 1 << 70):
+        with pytest.raises(InputError, match=f"mask {mask} outside"):
+            ring.element_from_flat_coeffs({mask: 1})
 
 
 def test_ring_construction_guards():

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from matroidworks.catalog import fano, graphic_k4, vamos
-from matroidworks.cli import main
+from matroidworks import cli
+from matroidworks.cli import _indented, main
 from matroidworks.matroid import (
     matroid_from_bases,
     matroid_from_graph,
@@ -455,6 +456,109 @@ def test_realization_json_bytes(capsys, name, char, no_simplify, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `mw info` reports, taken from the json.dumps(indent=2) writer
+# and the bit-at-a-time mask_elements that the byte table replaced.
+INFO_DIGESTS = [
+    (
+        ["info", "--name", "uniform(6,12)", "--format", "json"],
+        "ec71d88bc20d675b5afa99aa570d60cd10f3a6eae5a4aefbdcb061190b99b90e",
+    ),
+    (
+        ["info", "--aut", "--name", "pappus", "--format", "json"],
+        "a878192c9d3bcbd28fb7f431df0ccaab44674c36f4ac1b5457c412b1bc37099e",
+    ),
+    (
+        ["info", "--aut", "--name", "pappus"],
+        "63c733a5c956e721defcf4407602945dda1521886d0135583119e567849ef215",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", INFO_DIGESTS, ids=["u612-json", "pappus-json", "pappus-text"])
+def test_info_bytes(capsys, argv, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+STRINGS = [
+    "", "x", '"quoted"', "back\\slash", "tab\tline\nnul\x00\x1f\x7f", "caf\u00e9",
+    "\u2603 \U0001f600", ", ", "], [", "[[1, 2]]", ": ",
+]
+
+
+def random_value(rng, depth):
+    """A nested value of the kinds json.dumps takes: the writer's oracle."""
+    kind = rng.randrange(11 if depth else 5)
+    if kind == 0:
+        return rng.choice([0, -1, 7, -(10**30), 2**64, rng.randint(-(10**6), 10**6)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice([0.5, -0.0, 1e300, 1 / 3, float("inf"), float("-inf"), float("nan")])
+    if kind == 3:
+        return rng.choice(STRINGS)
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    size = rng.randint(1, 4)
+    if kind == 5:
+        return [rng.randint(-(2**70), 2**70) for _ in range(size)]
+    if kind == 6:
+        return [rng.choice(STRINGS) for _ in range(size)]
+    if kind == 7:
+        # int matrices, some with an empty row, a bool or a tuple row
+        rows = [[rng.randint(-99, 10**20) for _ in range(rng.randint(0, 3))] for _ in range(size)]
+        spoil = rng.randrange(4)
+        if spoil == 1:
+            rows[0].append(True)
+        elif spoil == 2:
+            rows[-1] = tuple(rows[-1])
+        return rows
+    if kind == 8:
+        return tuple(random_value(rng, depth - 1) for _ in range(size))
+    if kind == 9:
+        return [random_value(rng, depth - 1) for _ in range(size)]
+    return {rng.choice(STRINGS) + str(i): random_value(rng, depth - 1) for i in range(size)}
+
+
+def test_indented_writer_matches_json_dumps():
+    rng = random.Random(7)
+    for _ in range(3000):
+        value = random_value(rng, rng.randint(0, 4))
+        assert _indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--aut", "--name", "vamos"],
+        ["info", "--name", "uniform(0,2)"],
+        ["realization", "--name", "pappus", "--char", "0"],
+        ["realization", "--name", "non_fano", "--char", "2", "--no-simplify"],
+        ["realization", "--profile", "--name", "fano"],
+        ["realizable-q", "--name", "fano", "--qmax", "5"],
+        ["invariants", "--name", "vamos"],
+        ["invariants", "--name", "k4"],
+        ["chow", "--name", "k4"],
+        ["chow", "--name", "fano", "--k", "1", "--ell", "beta"],
+        ["corpus", CORPUS],
+    ],
+)
+def test_json_reports_are_json_dumps(capsys, monkeypatch, argv):
+    reports = []
+    emit = cli._emit
+
+    def spy(args, report, lines):
+        reports.append(report)
+        emit(args, report, lines)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    rc, out, _ = run(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    [report] = reports
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
 def _relabelings(n):
     """Three fixed permutations; each moves the lowest element 1."""
     return [
@@ -569,6 +673,8 @@ def test_deterministic_output(capsys):
     [
         ["info", "--aut", "--name", "pappus"],
         ["info", "--aut", "--name", "uniform(5,10)"],
+        ["info", "--name", "uniform(6,12)"],
+        ["chow", "--k", "1", "--ell", "beta", "--name", "vamos"],
         ["realization", "--profile", "--name", "fano"],
         ["realizable-q", "--name", "pappus", "--qmax", "13"],
         ["realization", "--profile", "--no-simplify", "--name", "non_fano"],

@@ -289,6 +289,11 @@ def test_construction_rejections():
         Matroid(3, ((1 << 1) | 1,))
     with pytest.raises(InputError):
         matroid_from_bases(64, [[1]])
+    # an int mask is checked before it is listed; the listing of -1 never ended
+    with pytest.raises(InputError, match="mask -1 outside"):
+        matroid_from_bases(3, [-1])
+    with pytest.raises(InputError, match="mask 8 outside"):
+        SubsetFamily(3, [8])
 
 
 def test_loops_and_rank_zero():
@@ -614,6 +619,28 @@ def test_exchange_validation_matches_pairwise_scan():
         ksets = [sum(1 << e for e in c) for c in itertools.combinations(range(n), k)]
         families.append((n, rng.sample(ksets, rng.randint(1, len(ksets)))))
     assert check_against_pairwise_scan(families) == {True, False}
+
+
+def bit_loop_elements(mask):
+    """The bit-at-a-time listing that mask_elements replaced: the reference."""
+    out = []
+    e = 1
+    while mask:
+        if mask & 1:
+            out.append(e)
+        mask >>= 1
+        e += 1
+    return tuple(out)
+
+
+def test_mask_elements_matches_the_bit_loop():
+    rng = random.Random(23)
+    masks = list(range(1 << 12))
+    masks += [rng.getrandbits(rng.randint(1, 63)) for _ in range(5000)]
+    masks += [sum(1 << e for e in rng.sample(range(63), rng.randint(0, 8))) for _ in range(5000)]
+    masks += [0, 1 << 62, (1 << 63) - 1, (1 << 64) - 1]
+    for mask in masks:
+        assert mask_elements(mask) == bit_loop_elements(mask)
 
 
 def test_subset_family_canonical_order():
