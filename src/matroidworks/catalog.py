@@ -29,58 +29,34 @@ def non_fano() -> Matroid:
     return matroid_from_matrix(rationals(), _BINARY_COLUMNS)
 
 
+def _all_but(n: int, r: int, non_bases) -> Matroid:
+    """The matroid whose bases are every r-subset of {1..n} not in non_bases."""
+    skip = {frozenset(s) for s in non_bases}
+    bases = [s for s in itertools.combinations(range(1, n + 1), r) if frozenset(s) not in skip]
+    return matroid_from_bases(n, bases)
+
+
 def vamos() -> Matroid:
     """Rank 4 on 8 elements; 65 bases.
 
     Ground set paired as {1,2} {3,4} {5,6} {7,8}; the unions of two pairs are
     circuit hyperplanes except {5,6,7,8}, which stays a basis.
     """
-    non_bases = [
-        frozenset({1, 2, 3, 4}),
-        frozenset({1, 2, 5, 6}),
-        frozenset({1, 2, 7, 8}),
-        frozenset({3, 4, 5, 6}),
-        frozenset({3, 4, 7, 8}),
-    ]
-    bases = [
-        s
-        for s in itertools.combinations(range(1, 9), 4)
-        if frozenset(s) not in non_bases
-    ]
-    return matroid_from_bases(8, bases)
+    return _all_but(8, 4, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8), (3, 4, 5, 6), (3, 4, 7, 8)])
 
 
 def moebius_kantor() -> Matroid:
     """Rank 3 on 8 elements with the cyclic line list {i, i+1, i+3} mod 8."""
-    lines = [
-        frozenset({i, (i % 8) + 1, ((i + 2) % 8) + 1}) for i in range(1, 9)
-    ]
-    bases = [
-        s for s in itertools.combinations(range(1, 9), 3) if frozenset(s) not in lines
-    ]
-    return matroid_from_bases(8, bases)
+    return _all_but(8, 3, [(i, i % 8 + 1, (i + 2) % 8 + 1) for i in range(1, 9)])
 
 
 def pappus() -> Matroid:
     """Rank 3 on 9 elements: the nine lines of the Pappus configuration."""
     lines = [
-        frozenset(t)
-        for t in [
-            (1, 2, 3),
-            (4, 5, 6),
-            (7, 8, 9),
-            (1, 5, 7),
-            (2, 4, 7),
-            (1, 6, 8),
-            (3, 4, 8),
-            (2, 6, 9),
-            (3, 5, 9),
-        ]
+        (1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 7), (2, 4, 7),
+        (1, 6, 8), (3, 4, 8), (2, 6, 9), (3, 5, 9),
     ]
-    bases = [
-        s for s in itertools.combinations(range(1, 10), 3) if frozenset(s) not in lines
-    ]
-    return matroid_from_bases(9, bases)
+    return _all_but(9, 3, lines)
 
 
 def uniform(r: int, n: int) -> Matroid:

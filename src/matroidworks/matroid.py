@@ -5,12 +5,13 @@ ground set with n <= 63 cheap to hash and intersect.  The canonical order on a
 family of subsets is lexicographic on the sorted element tuples, so ``{1,4}``
 sorts before ``{2,3}``.
 
-Up to n = SUBSET_RANK_LIMIT a matroid has one subset-rank table, a bytearray
-holding r(S) = max_B |S & B| for every subset mask S.  It is built once and
-cached: by ``matroid_from_bases`` when it validates through the table, and
-otherwise on first use.  The flats, the Tutte subset sum and every rank
-lookup read it.  Larger ground sets fall back to greedy ranks and the
-closure search.
+Up to n = SUBSET_RANK_LIMIT a matroid's rank function is its subset-rank
+table, a bytearray holding r(S) = max_B |S & B| for every subset mask S.  It
+is built once and cached: by ``matroid_from_bases`` when it validates through
+the table, and otherwise on first use.  Ranks, closures, flats, circuits, the
+Tutte subset sum and the Ingleton search all read it.  Only larger ground
+sets keep the independent sets (the downward closure of the bases), for
+greedy ranks, and find their flats by the closure search.
 """
 
 from __future__ import annotations
@@ -112,14 +113,14 @@ class Matroid:
 
     Construct through :func:`matroid_from_bases` (validates the exchange
     axiom) or the other ``matroid_from_*`` helpers.  Derived data (the basis
-    set behind ``is_basis``, independent sets, subset-rank table, flats,
-    circuits) is computed lazily and cached; all operations returning
-    matroids build fresh objects.
+    set behind ``is_basis``, the subset-rank table, flats by rank, circuits,
+    and past SUBSET_RANK_LIMIT the independent sets) is computed lazily and
+    cached; all operations returning matroids build fresh objects.
     """
 
     __slots__ = (
-        "n", "bases", "rank", "_basis_set", "_indep", "_ranks", "_flats",
-        "_flat_levels", "_circuits",
+        "n", "bases", "rank", "_basis_set", "_indep", "_ranks", "_flat_levels",
+        "_circuits",
     )
 
     def __init__(self, n: int, basis_masks: tuple[int, ...], _validated: bool = False):
@@ -131,7 +132,6 @@ class Matroid:
         self._basis_set: Optional[frozenset[int]] = None
         self._indep: Optional[frozenset[int]] = None
         self._ranks: Optional[bytearray] = None
-        self._flats = None
         self._flat_levels = None
         self._circuits = None
 
@@ -166,7 +166,8 @@ class Matroid:
         return mask in self._basis_set
 
     def _independent_masks(self) -> frozenset[int]:
-        """All independent sets, as the downward closure of the bases."""
+        """All independent sets, as the downward closure of the bases; the
+        greedy rank's oracle past SUBSET_RANK_LIMIT."""
         if self._indep is None:
             seen = set(self.bases)
             frontier = list(self.bases)
@@ -189,11 +190,14 @@ class Matroid:
             self._ranks = subset_rank_table(self.n, self.bases, self.rank)
         return self._ranks
 
-    def rank_of(self, mask: int) -> int:
-        """Rank of a subset: read off the table when it is built, else the
-        size of a greedily grown independent subset."""
-        if self._ranks is not None:
-            return self._ranks[mask]
+    def _rank_reader(self):
+        """r(S) for a subset mask S already checked: a table lookup up to
+        SUBSET_RANK_LIMIT, else the size of a greedily grown independent
+        subset."""
+        ranks = self._rank_table()
+        return ranks.__getitem__ if ranks is not None else self._greedy_rank
+
+    def _greedy_rank(self, mask: int) -> int:
         cur = 0
         mm = mask
         indep = self._independent_masks()
@@ -204,13 +208,20 @@ class Matroid:
             mm &= ~low
         return cur.bit_count()
 
+    def rank_of(self, mask: int) -> int:
+        """Rank of a subset mask of the ground set."""
+        if mask >> self.n:
+            raise InputError(f"subset mask {mask} outside ground set 1..{self.n}")
+        return self._rank_reader()(mask)
+
     def closure(self, mask: int) -> int:
         r = self.rank_of(mask)
+        rank_of = self._rank_reader()
         out = mask
         rest = self.ground_mask & ~mask
         while rest:
             low = rest & -rest
-            if self.rank_of(mask | low) == r:
+            if rank_of(mask | low) == r:
                 out |= low
             rest &= ~low
         return out
@@ -232,16 +243,15 @@ class Matroid:
         search adds one element at a time, so its k-th level holds exactly
         the flats of rank k.
         """
-        if self._flats is None:
+        if self._flat_levels is None:
             ranks = self._rank_table()
             if ranks is None:
                 levels = self._closure_search()
             else:
                 levels = _flat_levels(ranks, self.n, self.rank)
             self._flat_levels = tuple(SubsetFamily(self.n, level) for level in levels)
-            self._flats = SubsetFamily(self.n, [f for level in levels for f in level])
         if rank is None:
-            return self._flats
+            return SubsetFamily(self.n, [f for level in self._flat_levels for f in level])
         if 0 <= rank < len(self._flat_levels):
             return self._flat_levels[rank]
         return SubsetFamily(self.n, ())
@@ -260,17 +270,17 @@ class Matroid:
         return levels
 
     def circuits(self) -> SubsetFamily:
-        """Minimal dependent sets: the dependent sets C with every C - e
-        independent."""
+        """Minimal dependent sets: the C with r(C) < |C| and r(C - e) =
+        |C| - 1 for every e in C."""
         if self._circuits is None:
-            indep = self._independent_masks()
+            rank_of = self._rank_reader()
             bits = [1 << e for e in range(self.n)]
             found: list[int] = []
             # a circuit has at most rank + 1 elements
             for size in range(1, self.rank + 2):
                 for combo in itertools.combinations(bits, size):
                     m = sum(combo)
-                    if m not in indep and all(m ^ b in indep for b in combo):
+                    if rank_of(m) < size and all(rank_of(m ^ b) == size - 1 for b in combo):
                         found.append(m)
             self._circuits = SubsetFamily(self.n, found)
         return self._circuits

@@ -471,10 +471,17 @@ INFO_DIGESTS = [
         ["info", "--aut", "--name", "pappus"],
         "63c733a5c956e721defcf4407602945dda1521886d0135583119e567849ef215",
     ),
+    # past the subset-rank table's limit: greedy ranks and the closure search
+    (
+        ["info", "--name", "uniform(3,21)", "--format", "json"],
+        "159566b799e04a12149a4c716e040aab3e1c656e96c3aee6f3eb596f9de4054f",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", INFO_DIGESTS, ids=["u612-json", "pappus-json", "pappus-text"])
+@pytest.mark.parametrize(
+    "argv,digest", INFO_DIGESTS, ids=["u612-json", "pappus-json", "pappus-text", "u321-json"]
+)
 def test_info_bytes(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == 0

@@ -109,18 +109,67 @@ def exchange_axiom_holds(n, bases):
     return True
 
 
+def fresh_inputs():
+    """Matroids built without validation, so that no subset-rank table
+    exists before the first query: loops and parallel edges, K4, and a
+    matrix over F_3 with a zero column."""
+    looped = matroid_from_graph([(1, 1), (1, 2), (1, 2), (2, 3), (1, 3), (3, 4), (4, 4)])
+    k4 = matroid_from_graph([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1), (1, 1, 1), (0, 0, 0)]
+    matrix = matroid_from_matrix(prime_field(3), [[c[i] for c in cols] for i in range(3)])
+    return [looped, k4, matrix]
+
+
 def test_rank_closure_independence_exhaustive():
-    # greedy ranks first, then the same matroid reading its subset-rank table
-    for m in battery():
-        bare = Matroid(m.n, m.bases, _validated=True)
-        for build_table in (False, True):
-            if build_table:
-                assert bare._rank_table() is not None
+    # rank_of and closure read the subset-rank table, built on first use,
+    # before and after the flats; the independent sets are never formed,
+    # and the greedy rank of larger ground sets is checked on the same inputs
+    for m in battery() + fresh_inputs():
+        for flats_first in (False, True):
+            bare = Matroid(m.n, m.bases, _validated=True)
+            if flats_first:
+                bare.flats()
             for s in all_subsets(m.n):
                 assert bare.rank_of(s) == rank_oracle(m, s)
                 assert bare.closure(s) == closure_oracle(m, s)
-                assert is_independent(bare, s) == independent_oracle(m, s)
                 assert bare.is_basis(s) == (rank_oracle(m, s) == s.bit_count() == m.rank)
+            bare.circuits()
+            assert bare._indep is None
+        for s in all_subsets(m.n):
+            assert bare._greedy_rank(s) == rank_oracle(m, s)
+            assert is_independent(bare, s) == independent_oracle(m, s)
+
+
+def test_no_independent_sets_up_to_the_table_limit():
+    # each query alone on a fresh matroid at the limit; one element more
+    # and ranks are greedy
+    wide = uniform(2, SUBSET_RANK_LIMIT)
+    for query in (
+        lambda x: x.rank_of(1),
+        lambda x: x.closure(1),
+        lambda x: x.flats(),
+        lambda x: x.flats(1),
+        lambda x: x.circuits(),
+    ):
+        bare = Matroid(wide.n, wide.bases, _validated=True)
+        query(bare)
+        assert bare._ranks is not None and bare._indep is None
+    past = uniform(2, SUBSET_RANK_LIMIT + 1)
+    assert past.rank_of(7) == 2
+    assert past._ranks is None and past._indep is not None
+
+
+def test_masks_outside_the_ground_set_are_rejected():
+    # a table matroid, a graph matroid (no table until the first query) and
+    # a ground set past the table limit, whose greedy rank never ended on -1
+    past = matroid_from_bases(SUBSET_RANK_LIMIT + 1, [[1, 2], [1, 3], [2, 3]])
+    for m in (uniform(2, 4), graphic_k4(), past):
+        for mask in (-1, -(1 << m.n), 1 << m.n, (1 << m.n) + 1, 1 << 70):
+            for query in (m.rank_of, m.closure):
+                with pytest.raises(InputError, match=f"subset mask {mask} outside"):
+                    query(mask)
+        assert m.rank_of(m.ground_mask) == m.rank
+        assert m.closure(m.ground_mask) == m.ground_mask
 
 
 def test_flats_are_exactly_closure_fixed_points():
@@ -206,6 +255,30 @@ def test_closure_search_matches_table_flats():
     assert set(big.flats(1)) == {1 | loops, 2 | loops, 4 | loops}
 
 
+def minimal_dependent_sets(m, max_size):
+    """The dependent sets of at most max_size elements whose every subset
+    one smaller is independent, by membership in the downward closure of
+    the bases."""
+    indep = m._independent_masks()
+    found = []
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(m.n), size):
+            s = sum(1 << e for e in combo)
+            if s not in indep and all(s & ~(1 << e) in indep for e in combo):
+                found.append(s)
+    return sorted(found, key=mask_elements)
+
+
+def circuit_inputs():
+    k5 = matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))
+    ms = [catalog(name) for name in catalog_names() if name != "uniform(r,n)"]
+    ms += [uniform(r, n) for n in range(1, 10) for r in range(n + 1)]
+    fresh = fresh_inputs()
+    ms += [k5] + fresh
+    rng = random.Random(11)
+    return ms + [relabeled(m, rng) for m in (vamos(), pappus(), fresh[0], uniform(3, 7))]
+
+
 def test_circuits_are_minimal_dependent_sets():
     for m in battery():
         dependent = [
@@ -217,6 +290,19 @@ def test_circuits_are_minimal_dependent_sets():
             if all(not (d & c == d and d != c) for d in dependent)
         ]
         assert set(m.circuits()) == set(minimal)
+
+    for m in circuit_inputs():
+        circuits = list(m.circuits())
+        assert m._indep is None
+        assert circuits == minimal_dependent_sets(m, m.n)
+
+    # past the table limit, where circuits read the greedy rank: loops,
+    # parallel classes and a triangle on 21 edges; a circuit has at most
+    # rank + 1 elements
+    edges = [(1, 1), (4, 4)] + [(1, 2)] * 7 + [(2, 3)] * 6 + [(1, 3)] * 6
+    big = matroid_from_graph(edges)
+    assert big.n == SUBSET_RANK_LIMIT + 1 and big._rank_table() is None
+    assert list(big.circuits()) == minimal_dependent_sets(big, big.rank + 1)
 
 
 def test_cryptomorphism_round_trips():
