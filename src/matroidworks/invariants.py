@@ -25,6 +25,7 @@ from .errors import (
 from .matroid import (
     SUBSET_RANK_LIMIT,
     Matroid,
+    SubsetFamily,
     _component_count,
     _popcounts,
     mask_elements,
@@ -85,6 +86,8 @@ class UniPoly:
         return UniPoly(out)
 
     def __pow__(self, k: int) -> "UniPoly":
+        if k < 0:
+            raise InputError("negative polynomial power")
         acc = UniPoly((1,))
         for _ in range(k):
             acc = acc * self
@@ -357,7 +360,7 @@ def ingleton_violation(m: Matroid, exhaustive: bool = False):
             for i in range(m.n)
             for j in range(i + 1, m.n)
         ]
-        pool.sort(key=mask_elements)
+        pool = list(SubsetFamily(m.n, pool))
     # Ingleton's inequality reads I(A;B) <= I(A;B|C) + I(A;B|D) + I(C;D),
     # every term nonnegative.  Three cuts follow, none of which can skip
     # the first violator:

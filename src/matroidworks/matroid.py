@@ -3,7 +3,11 @@
 Subsets are stored as int bitmasks (element e <-> bit e-1), which keeps every
 ground set with n <= 63 cheap to hash and intersect.  The canonical order on a
 family of subsets is lexicographic on the sorted element tuples, so ``{1,4}``
-sorts before ``{2,3}``.
+sorts before ``{2,3}``; ``SubsetFamily`` is the one place that sorts into it.
+A matroid's bases are one such family, ``Matroid.bases``.  Only
+``matroid_from_bases`` validates a family; the graph, matrix and minor
+constructors build valid families by construction and hand their masks to
+one trusted builder.
 
 Up to n = SUBSET_RANK_LIMIT a matroid's rank function is its subset-rank
 table, a bytearray holding r(S) = max_B |S & B| for every subset mask S.  It
@@ -63,13 +67,14 @@ def mask_elements(mask: int) -> tuple[int, ...]:
 
 
 class SubsetFamily:
-    """An immutable, deduplicated family of subsets of {1..n} in canonical order."""
+    """An immutable, deduplicated family of subsets of {1..n} in canonical
+    order; n = 0 is the empty ground set, whose one subset is mask 0."""
 
     __slots__ = ("n", "masks", "_members")
 
     def __init__(self, n: int, subsets: Iterable[int | Iterable[int]]):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"ground set size must be a positive integer, got {n!r}")
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"ground set size must be a non-negative integer, got {n!r}")
         if n > MAX_GROUND:
             raise InputError(f"ground set size {n} exceeds the bitmask limit {MAX_GROUND}")
         seen = set()
@@ -111,25 +116,23 @@ class SubsetFamily:
 class Matroid:
     """Immutable matroid; equality and hashing go by (n, bases).
 
-    Construct through :func:`matroid_from_bases` (validates the exchange
-    axiom) or the other ``matroid_from_*`` helpers.  Derived data (the basis
-    set behind ``is_basis``, the subset-rank table, flats by rank, circuits,
-    and past SUBSET_RANK_LIMIT the independent sets) is computed lazily and
-    cached; all operations returning matroids build fresh objects.
+    ``bases`` is the canonical ``SubsetFamily`` of basis masks: ``mask in
+    m.bases`` tests a basis and ``m.bases.as_lists()`` lists them.  Construct
+    through :func:`matroid_from_bases` (validates the exchange axiom) or the
+    other ``matroid_from_*`` helpers.  Derived data (the subset-rank table,
+    flats by rank, circuits, and past SUBSET_RANK_LIMIT the independent sets)
+    is computed lazily and cached; all operations returning matroids build
+    fresh objects.
     """
 
-    __slots__ = (
-        "n", "bases", "rank", "_basis_set", "_indep", "_ranks", "_flat_levels",
-        "_circuits",
-    )
+    __slots__ = ("n", "bases", "rank", "_indep", "_ranks", "_flat_levels", "_circuits")
 
-    def __init__(self, n: int, basis_masks: tuple[int, ...], _validated: bool = False):
+    def __init__(self, n: int, bases: SubsetFamily, _validated: bool = False):
         if not _validated:
             raise InputError("use matroid_from_bases() to construct matroids")
         self.n = n
-        self.bases = basis_masks
-        self.rank = basis_masks[0].bit_count() if basis_masks else 0
-        self._basis_set: Optional[frozenset[int]] = None
+        self.bases = bases
+        self.rank = bases.masks[0].bit_count()
         self._indep: Optional[frozenset[int]] = None
         self._ranks: Optional[bytearray] = None
         self._flat_levels = None
@@ -156,14 +159,8 @@ class Matroid:
     def ground_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def basis_lists(self) -> list[list[int]]:
-        return [list(mask_elements(b)) for b in self.bases]
-
     def is_basis(self, mask: int) -> bool:
-        """Whether a subset mask is a basis, read from one set per matroid."""
-        if self._basis_set is None:
-            self._basis_set = frozenset(self.bases)
-        return mask in self._basis_set
+        return mask in self.bases
 
     def _independent_masks(self) -> frozenset[int]:
         """All independent sets, as the downward closure of the bases; the
@@ -291,52 +288,37 @@ class Matroid:
         """M \\ S: the sets B - S of largest size over the bases B."""
         s = mask_of(subset, self.n)
         keep = self.ground_mask & ~s
-        if keep == 0:
-            return Matroid(0, (0,), _validated=True)
         new_bases = {b & keep for b in _meeting_most(self.bases, keep)}
-        return _relabel_to_prefix(self.n, new_bases, keep)
+        return _relabel_to_prefix(new_bases, keep)
 
     def contract(self, subset: Iterable[int]) -> "Matroid":
         """M / S: the sets B - S over the bases B that meet S most."""
         s = mask_of(subset, self.n)
         keep = self.ground_mask & ~s
-        if keep == 0:
-            return Matroid(0, (0,), _validated=True)
         new_bases = {b & keep for b in _meeting_most(self.bases, s)}
-        return _relabel_to_prefix(self.n, new_bases, keep)
+        return _relabel_to_prefix(new_bases, keep)
 
     def truncate(self) -> "Matroid":
         """The truncation: the sets B - e over the bases B and e in B."""
         if self.rank == 0:
             raise InputError("cannot truncate a rank-0 matroid")
-        new_bases = {b & ~(1 << (e - 1)) for b in self.bases for e in mask_elements(b)}
-        return Matroid(
-            self.n, tuple(sorted(new_bases, key=mask_elements)), _validated=True
-        )
+        new_bases = [b & ~(1 << (e - 1)) for b in self.bases for e in mask_elements(b)]
+        return _trusted_matroid(self.n, new_bases)
 
 
-def _meeting_most(bases: tuple[int, ...], s: int) -> list[int]:
+def _meeting_most(bases: SubsetFamily, s: int) -> list[int]:
     """The bases B with |B & s| largest: B & s is then a basis of M | s."""
     r = max((b & s).bit_count() for b in bases)
     return [b for b in bases if (b & s).bit_count() == r]
 
 
-def _relabel_to_prefix(n: int, basis_masks: Iterable[int], keep: int) -> Matroid:
+def _relabel_to_prefix(basis_masks: Iterable[int], keep: int) -> Matroid:
     """Relabel the surviving elements (bits of keep) to 1..k preserving order."""
-    table = {}
-    new = 0
-    for e in range(1, n + 1):
-        if keep >> (e - 1) & 1:
-            new += 1
-            table[e] = new
-    k = len(table)
-    out = set()
-    for m in basis_masks:
-        nm = 0
-        for e in mask_elements(m):
-            nm |= 1 << (table[e] - 1)
-        out.add(nm)
-    return Matroid(k, tuple(sorted(out, key=mask_elements)), _validated=True)
+    kept = mask_elements(keep)
+    bit = {e: 1 << i for i, e in enumerate(kept)}
+    return _trusted_matroid(
+        len(kept), [sum(bit[e] for e in mask_elements(m)) for m in basis_masks]
+    )
 
 
 # -- the subset-rank table --------------------------------------------------
@@ -452,6 +434,13 @@ def _table_route(n: int, num_bases: int, rank: int) -> bool:
 # -- constructors ----------------------------------------------------------
 
 
+def _trusted_matroid(n: int, basis_masks: Iterable[int]) -> Matroid:
+    """The matroid on {1..n} whose bases are known to be the masks given:
+    the door for every constructor that builds a valid family by
+    construction.  The masks may repeat and come in any order."""
+    return Matroid(n, SubsetFamily(n, basis_masks), _validated=True)
+
+
 def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     """Validate the basis-exchange axiom eagerly and build the matroid.
 
@@ -465,6 +454,8 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     table rejects, the pairwise scan decides, so the witness is the first
     failing (A, B, x) in family order on either route.
     """
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"ground set size must be a positive integer, got {n!r}")
     fam = SubsetFamily(n, bases)
     if len(fam) == 0:
         raise EmptyFamily("a matroid needs at least one basis")
@@ -475,11 +466,11 @@ def matroid_from_bases(n: int, bases: Iterable[Iterable[int] | int]) -> Matroid:
     if _table_route(n, len(fam), rank):
         ranks = subset_rank_table(n, fam.masks, rank)
         if _is_rank_function(ranks, n, rank):
-            m = Matroid(n, fam.masks, _validated=True)
+            m = Matroid(n, fam, _validated=True)
             m._ranks = ranks
             return m
     _check_exchange(fam)
-    return Matroid(n, fam.masks, _validated=True)
+    return Matroid(n, fam, _validated=True)
 
 
 def _check_exchange(fam: SubsetFamily) -> None:
@@ -520,8 +511,6 @@ def matroid_from_graph(edges: Sequence[tuple[int, int]]) -> Matroid:
     becomes a matroid loop.  Bases are the maximum spanning forests; no
     edges at all gives the empty matroid.
     """
-    if not edges:
-        return Matroid(0, (0,), _validated=True)
     verts = set()
     for uv in edges:
         if len(uv) != 2:
@@ -545,17 +534,15 @@ def matroid_from_graph(edges: Sequence[tuple[int, int]]) -> Matroid:
             parent[ru] = rv
         return True
 
-    r = len(verts) - _component_count(verts, edges)
-    bases = []
-    for combo in itertools.combinations(range(n), r):
-        if is_forest(combo):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            bases.append(m)
-    if not bases:
-        bases = [0]
-    return Matroid(n, tuple(sorted(bases, key=mask_elements)), _validated=True)
+    return _independent_r_subsets(n, len(verts) - _component_count(verts, edges), is_forest)
+
+
+def _independent_r_subsets(n: int, r: int, independent) -> Matroid:
+    """The matroid whose bases are the r-subsets of 0..n-1 (edges or
+    columns) that pass ``independent``; r is the rank, so some r-subset
+    does, and for r = 0 the empty one."""
+    combos = itertools.combinations(range(n), r)
+    return _trusted_matroid(n, [sum(1 << i for i in c) for c in combos if independent(c)])
 
 
 def _find(parent: dict, x: int) -> int:
@@ -590,23 +577,14 @@ def matroid_from_matrix(field, rows: Sequence[Sequence]) -> Matroid:
     if n > MAX_GROUND:
         raise InputError(f"too many columns ({n}) for the bitmask limit {MAX_GROUND}")
     r = x.rank()
-    bases = []
-    for combo in itertools.combinations(range(n), r):
-        if x.column_submatrix(combo).rank() == r:
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            bases.append(m)
-    if not bases:
-        bases = [0]
-    return Matroid(n, tuple(sorted(bases, key=mask_elements)), _validated=True)
+    return _independent_r_subsets(n, r, lambda combo: x.column_submatrix(combo).rank() == r)
 
 
 # -- JSON ------------------------------------------------------------------
 
 
 def matroid_to_json_dict(m: Matroid) -> dict:
-    return {"n": m.n, "rank": m.rank, "bases": m.basis_lists()}
+    return {"n": m.n, "rank": m.rank, "bases": m.bases.as_lists()}
 
 
 def matroid_from_json_dict(data) -> Matroid:

@@ -125,21 +125,18 @@ def _matrix_skeleton(m: Matroid, basis_mask: int):
 def choose_basis(m: Matroid) -> tuple[int, ...]:
     """The basis whose parameterized matrix has the fewest variables.
 
-    Ties break to the lexicographically smallest basis; in rank 0 and full
-    rank that is the only basis.  The choice depends only on the matroid,
-    not on the characteristic.  Loops make every choice degenerate, so they
-    are rejected up front.
+    Ties break to the first such basis in the canonical order of
+    ``m.bases``; in rank 0 and full rank that is the only basis.  The choice
+    depends only on the matroid, not on the characteristic.  Loops make
+    every choice degenerate, so they are rejected up front.
     """
     if m.rank > 0 and m.loops():
         raise LoopPresent(f"loops {list(m.loops())} admit no realization chart")
-    best = None
-    for mask in m.bases:
-        _, _, plan = _matrix_skeleton(m, mask)
-        count = sum(row.count("var") for row in plan)
-        key = (count, mask_elements(mask))
-        if best is None or key < best[0]:
-            best = (key, mask)
-    return mask_elements(best[1])
+
+    def variables(mask: int) -> int:
+        return sum(row.count("var") for row in _matrix_skeleton(m, mask)[2])
+
+    return mask_elements(min(m.bases, key=variables))
 
 
 def build_parameterized_matrix(m: Matroid, basis: Sequence[int]):
@@ -452,12 +449,8 @@ def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
             [entry.evaluate(values, fq) for entry in row]
             for row in space.matrix
         ]
-        check = (
-            Matroid(m.n, (0,), _validated=True)
-            if m.rank == 0
-            else matroid_from_matrix(fq, rows)
-        )
-        if check != m:
+        # rank 0 has one matroid per n, so there is nothing to check
+        if m.rank > 0 and matroid_from_matrix(fq, rows) != m:
             raise MatroidworksError(
                 "internal: realization verification failed"
             )

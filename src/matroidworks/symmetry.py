@@ -40,6 +40,8 @@ class Permutation:
         return len(self.images)
 
     def apply(self, e: int) -> int:
+        if not 1 <= e <= self.n:
+            raise InputError(f"element {e!r} outside 1..{self.n}")
         return self.images[e - 1]
 
     def is_identity(self) -> bool:

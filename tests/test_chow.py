@@ -55,7 +55,7 @@ from matroidworks.errors import (
 from matroidworks.fields import rationals
 from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
-from matroidworks.matroid import Matroid, matroid_from_bases
+from matroidworks.matroid import matroid_from_bases
 
 
 def strict_ell(ring):
@@ -465,7 +465,7 @@ def test_admissibility_guards():
 
 def test_ring_construction_guards():
     with pytest.raises(InputError):
-        chow_ring(Matroid(3, (0,), _validated=True))
+        chow_ring(matroid_from_bases(3, [[]]))
     with pytest.raises(LoopPresent):
         chow_ring(matroid_from_bases(3, [[1, 2]]))
 

@@ -586,7 +586,7 @@ def test_chow_json_is_label_free(capsys, tmp_path, m):
     outputs = set()
     for t, perm in enumerate([list(range(1, m.n + 1))] + _relabelings(m.n)):
         relabeled = matroid_from_bases(
-            m.n, [[perm[e - 1] for e in b] for b in m.basis_lists()]
+            m.n, [[perm[e - 1] for e in b] for b in m.bases.as_lists()]
         )
         path = tmp_path / f"m{t}.json"
         path.write_text(json.dumps(matroid_to_json_dict(relabeled)))

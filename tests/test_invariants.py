@@ -337,6 +337,9 @@ def test_unipoly_arithmetic():
     assert (p * p).coefficients_descending() == (4, 4, 1)
     assert (p - p).is_zero()
     assert (p**3) == p * p * p
+    assert p**0 == UniPoly((1,))
+    with pytest.raises(InputError, match="negative"):
+        UniPoly((1, 1)) ** -1
     assert p.scale(-2).coefficients_descending() == (-4, -2)
     assert UniPoly((6, -5, 1)).divide_exact(UniPoly((-2, 1))) == UniPoly((-3, 1))
     assert UniPoly().render() == "0"

@@ -331,9 +331,28 @@ def test_cryptomorphism_round_trips():
         assert via_rank == list(m.bases)
 
 
+def trusted_constructions():
+    """Graphs, matrices and minors, which skip validation: loops and
+    parallel edges, K4, a matrix over F_3 with a zero column, K5, fano,
+    non_fano, and each one-element deletion and contraction and the
+    truncation of the catalog matroids."""
+    k5 = matroid_from_graph(list(itertools.combinations(range(1, 6), 2)))
+    out = fresh_inputs() + [k5, fano(), non_fano()]
+    for name in catalog_names():
+        if name != "uniform(r,n)":
+            m = catalog(name)
+            out += [m.delete([e]) for e in range(1, m.n + 1)]
+            out += [m.contract([e]) for e in range(1, m.n + 1)]
+            out.append(m.truncate())
+    return out
+
+
 def test_exchange_axiom_on_battery_and_random_matrices():
-    for m in battery():
+    # a trusted construction must build exactly the family, in the same
+    # order, that validating its own masks builds
+    for m in battery() + trusted_constructions():
         assert exchange_axiom_holds(m.n, set(m.bases))
+        assert m == matroid_from_bases(m.n, m.bases.masks)
     rng = random.Random(411)
     for _ in range(40):
         p = rng.choice([2, 3, 5])
@@ -346,6 +365,7 @@ def test_exchange_axiom_on_battery_and_random_matrices():
         except EmptyFamily:
             continue
         assert exchange_axiom_holds(m.n, set(m.bases))
+        assert m == matroid_from_bases(m.n, m.bases.masks)
         for s in all_subsets(m.n):
             assert m.rank_of(s) == rank_oracle(m, s)
 
@@ -375,6 +395,14 @@ def test_construction_rejections():
         Matroid(3, ((1 << 1) | 1,))
     with pytest.raises(InputError):
         matroid_from_bases(64, [[1]])
+    # the empty ground set is a SubsetFamily but never a validated input
+    for n in (0, -1, "3"):
+        message = f"ground set size must be a positive integer, got {n!r}"
+        with pytest.raises(InputError, match=message):
+            matroid_from_bases(n, [0])
+    assert SubsetFamily(0, [0, 0]).masks == (0,)
+    with pytest.raises(InputError, match="non-negative"):
+        SubsetFamily(-1, [])
     # an int mask is checked before it is listed; the listing of -1 never ended
     with pytest.raises(InputError, match="mask -1 outside"):
         matroid_from_bases(3, [-1])
@@ -436,8 +464,12 @@ def test_contract_against_rank_oracle():
 def test_minors_to_empty_ground_set():
     m = uniform(2, 3)
     e = m.delete([1, 2, 3])
-    assert e.n == 0 and e.rank == 0 and e.bases == (0,)
+    assert e.n == 0 and e.rank == 0 and e.bases.masks == (0,)
     assert m.contract([1, 2, 3]) == e
+    assert matroid_from_graph([]) == e
+    for m in battery():
+        everything = range(1, m.n + 1)
+        assert m.delete(everything) == e and m.contract(everything) == e
 
 
 def test_truncate():
@@ -461,16 +493,9 @@ def relabeled_minor(bases, keep):
     """Bases on the elements of keep, renumbered 1..|keep| in order."""
     kept = mask_elements(keep)
     relab = {e: i + 1 for i, e in enumerate(kept)}
-    return Matroid(
-        len(kept),
-        tuple(
-            sorted(
-                {mask_of([relab[e] for e in mask_elements(b)], len(kept)) for b in bases},
-                key=mask_elements,
-            )
-        ),
-        _validated=True,
-    )
+    k = len(kept)
+    fam = SubsetFamily(k, [[relab[e] for e in mask_elements(b)] for b in bases])
+    return Matroid(k, fam, _validated=True)
 
 
 def delete_by_independent_sets(m, s):
@@ -633,7 +658,7 @@ def check_against_pairwise_scan(families):
         fam = SubsetFamily(n, masks)
         expect = pairwise_exchange_witness(fam.masks)
         if expect is None:
-            assert matroid_from_bases(n, masks).bases == fam.masks
+            assert matroid_from_bases(n, masks).bases == fam
         else:
             with pytest.raises(ExchangeAxiomViolation) as err:
                 matroid_from_bases(n, masks)
@@ -745,6 +770,6 @@ def test_catalog_shapes():
     assert len(pappus().bases) == 75
     assert len(moebius_kantor().bases) == 48
     assert graphic_k4().rank == 3
-    assert uniform(2, 4).bases == tuple(
+    assert uniform(2, 4).bases.masks == tuple(
         mask_of(c, 4) for c in itertools.combinations(range(1, 5), 2)
     )

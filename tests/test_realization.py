@@ -37,7 +37,6 @@ from matroidworks.fields import (
 )
 from matroidworks.linalg import MinorOracle
 from matroidworks.matroid import (
-    Matroid,
     mask_elements,
     mask_of,
     matroid_from_bases,
@@ -274,8 +273,11 @@ def test_rank_zero_and_full_rank():
     space = realization_space(free, 0)
     assert space.verdict is SpaceVerdict.NONEMPTY
     assert find_realization(free, 2) is not None
-    zero = Matroid(0, (0,), _validated=True)
+    zero = uniform(1, 1).delete([1])
     assert realization_space(zero, 0).verdict is SpaceVerdict.NONEMPTY
+    # rank 0 has nothing to verify: the realization is the 0 x 0 matrix
+    found = find_realization(uniform(0, 3), 2)
+    assert found is not None and found.matrix.nrows == 0
 
 
 def test_json_dict_shape():

@@ -16,7 +16,7 @@ from matroidworks.catalog import (
     uniform,
     vamos,
 )
-from matroidworks.errors import SearchBudgetExceeded, budget
+from matroidworks.errors import InputError, SearchBudgetExceeded, budget
 from matroidworks.matroid import mask_elements, matroid_from_bases, matroid_from_graph
 from matroidworks.symmetry import (
     SEARCH_MAX_GROUND,
@@ -274,3 +274,7 @@ def test_permutation_algebra():
     # (p after q): 3 -> 4 -> 4
     assert comp.apply(3) == p.apply(q.apply(3))
     assert apply_mask(p, 0b0111) == 0b0111
+    # no wrap-around through negative indexing, no IndexError past n
+    for e in (0, -1, 5):
+        with pytest.raises(InputError, match=f"element {e} outside 1..4"):
+            p.apply(e)
