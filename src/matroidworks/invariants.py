@@ -6,7 +6,9 @@ falls back to deletion-contraction above that.  The subset sum counts the
 (rank, size) cells of the matroid's cached subset-rank table
 (``matroid.subset_rank_table``) and expands each term once per cell.  The
 characteristic polynomial is the specialization chi(q) = (-1)^r T(1-q, 0);
-the tests check it against the direct signed subset sum.
+the tests check it against the direct signed subset sum.  UniPoly and
+BiPoly print through polynomials.render_terms, the text form that the
+realization polynomials share.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .matroid import (
     mask_elements,
     matroid_from_graph,
 )
+from .polynomials import render_terms
 
 
 class UniPoly:
@@ -128,24 +131,11 @@ class UniPoly:
         return UniPoly(out)
 
     def render(self, var: str = "q") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = var if k == 1 else f"{var}^{k}"
-                body = head if mag == 1 else f"{mag}*{head}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(
+            (str(c), () if k == 0 else (var if k == 1 else f"{var}^{k}",))
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self.render()})"
@@ -187,28 +177,11 @@ class BiPoly:
         return acc
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
-        parts = []
-        for i, j in keys:
-            c = self.terms[(i, j)]
-            mag = abs(c)
-            names = []
-            if i:
-                names.append("x" if i == 1 else f"x^{i}")
-            if j:
-                names.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(names) if names else ""
-            if body:
-                body = body if mag == 1 else f"{mag}*{body}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        by_degree = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), -t[0][0]))
+        return render_terms(
+            (str(c), [v if k == 1 else f"{v}^{k}" for v, k in (("x", i), ("y", j)) if k])
+            for (i, j), c in by_degree
+        )
 
     def __repr__(self) -> str:
         return f"BiPoly({self.render()})"

@@ -101,10 +101,14 @@ class ExactMatrix:
         self.ncols = len(rows[0]) if rows else 0
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "ExactMatrix":
+    def from_rows(cls, field: Field, rows: Sequence[Sequence], ncols: int = 0) -> "ExactMatrix":
+        """The rows coerced into field; ncols is the width if there are none."""
         if len({len(r) for r in rows}) > 1:
             raise InputError("ragged rows in matrix")
-        return cls(field, ([field.coerce(v) for v in r] for r in rows))
+        matrix = cls(field, ([field.coerce(v) for v in r] for r in rows))
+        if not rows:
+            matrix.ncols = ncols
+        return matrix
 
     def column_submatrix(self, cols: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix(self.field, ([row[j] for j in cols] for row in self.rows))

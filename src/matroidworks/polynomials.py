@@ -7,18 +7,18 @@ the terms, a product of monomials is their sum, and a divides b exactly
 when b - a sets no guard bit (PolynomialRing has the layout).
 ring.monomial(exps) and ring.exponents(m) convert to and from exponent
 tuples.  Everything here is immutable by convention: operations build new
-polynomials.
+polynomials.  Coefficients are opaque field elements, brought in by
+Field.coerce; render_terms is the one text form of all polynomials.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegreeBudgetExceeded, InputError, RingMismatch
-from .fields import ExtensionField, Field, RationalField
+from .fields import Field
 
 W = 16  # bits per field of a packed monomial; the top one is a guard bit
 _LIMIT = (1 << (W - 1)) - 1  # the largest exponent or degree a field holds
@@ -153,14 +153,6 @@ class PolynomialRing:
         return f"PolynomialRing({self.field!r}, {list(self.names)}, {self.order!r})"
 
 
-def _is_raw_element(field: Field, value) -> bool:
-    if isinstance(field, RationalField):
-        return isinstance(value, Fraction)
-    if isinstance(field, ExtensionField):
-        return isinstance(value, tuple)
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class Poly:
     """Immutable multivariate polynomial."""
 
@@ -194,16 +186,19 @@ class Poly:
             used |= e
         return tuple(i for i, k in enumerate(self.ring.exponents(used)) if k)
 
+    def _exponent_shift(self, i: int) -> int:
+        if not 0 <= i < self.ring.nvars:
+            raise InputError(f"no variable with index {i}")
+        return W * (self.ring.nvars - 1 - i)
+
     def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        shift = W * (self.ring.nvars - 1 - i)
-        return max((e >> shift) & _MASK for e in self.terms)
+        shift = self._exponent_shift(i)
+        return max(((e >> shift) & _MASK for e in self.terms), default=-1)
 
     def coefficients_in(self, i: int) -> dict[int, "Poly"]:
         """{k: c_k} with self the sum of c_k * x_i^k, each c_k free of x_i,
         for the k that occur."""
-        shift = W * (self.ring.nvars - 1 - i)
+        shift = self._exponent_shift(i)
         x = self.ring._weights[i]
         layers: dict[int, dict] = {}
         for e, c in self.terms.items():
@@ -274,8 +269,10 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
+        """c * self, with c brought into the field by Field.coerce (which
+        returns the field's own elements unchanged)."""
         f = self.ring.field
-        cc = f.coerce(c) if not _is_raw_element(f, c) else c
+        cc = f.coerce(c)
         if f.is_zero(cc):
             return self.ring.zero()
         return Poly(self.ring, {e: f.mul(v, cc) for e, v in self.terms.items()})
@@ -337,44 +334,38 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-def _coeff_str(field: Field, c) -> tuple[str, bool]:
-    """(rendered coefficient, needs_parens)."""
-    s = field.render(c)
-    return s, ("+" in s or (isinstance(field, ExtensionField) and "*" in s))
+def render_terms(terms: Iterable[tuple[str, Sequence[str]]]) -> str:
+    """The text of a polynomial from its terms in print order, each a pair
+    (coefficient text, factor texts).
+
+    A leading "-" of a coefficient becomes the term's sign; a coefficient
+    holding "+" or "*" goes in parentheses; a coefficient "1" is left off
+    before its factors; no terms give "0".
+    """
+    pieces = []
+    for cs, factors in terms:
+        sign = " + "
+        if cs.startswith("-"):
+            sign, cs = " - ", cs[1:]
+        if "+" in cs or "*" in cs:
+            cs = f"({cs})"
+        body = factors if cs == "1" and factors else (cs, *factors)
+        pieces.append(sign + "*".join(body))
+    if not pieces:
+        return "0"
+    text = "".join(pieces)  # the first term's sign is "-" or nothing
+    return "-" + text[3:] if text.startswith(" - ") else text[3:]
 
 
 def poly_str(p: Poly) -> str:
     """Deterministic rendering: terms descending in the ring's order, ^
     powers, * products."""
-    if p.is_zero():
-        return "0"
-    field = p.ring.field
-    names = p.ring.names
-    rational = isinstance(field, RationalField)
-    pieces = []
-    for idx, e in enumerate(p.sorted_terms()):
-        c = p.terms[e]
-        negative = rational and c < 0
-        mag = -c if negative else c
-        factors = []
-        for i, k in enumerate(p.ring.exponents(e)):
-            if k == 1:
-                factors.append(names[i])
-            elif k > 1:
-                factors.append(f"{names[i]}^{k}")
-        cs, parens = _coeff_str(field, mag)
-        if not factors:
-            body = f"({cs})" if parens else cs
-        elif cs == "1":
-            body = "*".join(factors)
-        else:
-            head = f"({cs})" if parens else cs
-            body = head + "*" + "*".join(factors)
-        if idx == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+    render, names = p.ring.field.render, p.ring.names
+    return render_terms(
+        (render(p.terms[e]), [names[i] if k == 1 else f"{names[i]}^{k}"
+                              for i, k in enumerate(p.ring.exponents(e)) if k])
+        for e in p.sorted_terms()
+    )
 
 
 def poly_sort_key(p: Poly):

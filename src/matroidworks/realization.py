@@ -454,7 +454,7 @@ def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
             raise MatroidworksError(
                 "internal: realization verification failed"
             )
-        return RealizationMatrix(fq, ExactMatrix.from_rows(fq, rows))
+        return RealizationMatrix(fq, ExactMatrix.from_rows(fq, rows, m.n))
     return None
 
 

@@ -345,6 +345,10 @@ def test_unipoly_arithmetic():
     assert UniPoly().render() == "0"
     assert UniPoly((0, -1)).render() == "-q"
     assert UniPoly((2, 0, 1)).render("t") == "t^2 + 2"
+    assert UniPoly((-3, 1, -1)).render() == "-q^2 + q - 3"
+    assert UniPoly((1, -1, 0, -2)).render("t") == "-2*t^3 - t + 1"
+    assert UniPoly((-5,)).render() == "-5"
+    assert UniPoly((7,)).render() == "7"
     assert UniPoly((5,)).degree == 0
     assert UniPoly().degree == -1
 
@@ -356,6 +360,12 @@ def test_bipoly_arithmetic():
     assert s.coefficient(1, 0) == 1 and s.coefficient(0, 1) == 1
     assert s.evaluate(2, 3) == 5
     assert BiPoly().render() == "0"
+    assert BiPoly({(2, 0): -1, (1, 1): -3, (0, 1): 1, (0, 0): -2}).render() == (
+        "-x^2 - 3*x*y + y - 2"
+    )
+    assert BiPoly({(1, 0): 1, (0, 2): -1}).render() == "-y^2 + x"
+    assert BiPoly({(0, 0): 4}).render() == "4"
+    assert BiPoly({(0, 0): -1}).render() == "-1"
     x2_plus_y = BiPoly({(2, 0): 1, (0, 1): 1})
     spec = x2_plus_y.specialize(UniPoly((0, 1)), UniPoly((1,)))
     assert spec == UniPoly((1, 0, 1))

@@ -9,7 +9,7 @@ from helpers import order_key, poly_from_terms
 
 from matroidworks import groebner
 from matroidworks.errors import DegreeBudgetExceeded, InputError, RingMismatch
-from matroidworks.fields import prime_field, rationals
+from matroidworks.fields import extension_field, prime_field, rationals
 from matroidworks.groebner import Ideal, buchberger
 from matroidworks.polynomials import (
     DEGREVLEX,
@@ -260,6 +260,49 @@ def test_poly_str_golden():
     f5 = PolynomialRing(prime_field(5), ("u",))
     u = f5.gens()[0]
     assert poly_str(u * u * u + u.scale(4)) == "u^3 + 4*u"
+    assert poly_str(-x) == "-x"
+    assert poly_str(-ring.one()) == "-1"
+    assert poly_str(-x * y.scale(3) + x) == "-3*x*y + x"
+    half = x.scale(Fraction(-1, 2)) * y - y * y + ring.one().scale(Fraction(-7, 2))
+    assert poly_str(half) == "-1/2*x*y - y^2 - 7/2"
+    f5xy = PolynomialRing(prime_field(5), ("x", "y"))
+    a, b = f5xy.gens()
+    assert poly_str(-a * b + b.scale(3) - f5xy.one()) == "4*x*y + 3*y + 4"
+    # F_4 and F_9: a coefficient holding "+" or "*" goes in parentheses
+    t, t_plus_1 = (0, 1), (1, 1)
+    for p in (2, 3):
+        ext = PolynomialRing(extension_field(p, 2), ("x", "y"))
+        x, y = ext.gens()
+        assert poly_str(x.scale(t_plus_1)) == "(t + 1)*x"
+        assert poly_str(x.scale(t)) == "t*x"
+        assert poly_str(ext.one().scale(t_plus_1)) == "(t + 1)"
+        mixed = x * x.scale(t_plus_1) + y.scale(t) + ext.one().scale(t_plus_1)
+        assert poly_str(mixed) == "(t + 1)*x^2 + t*y + (t + 1)"
+        assert poly_str(x - ext.one()) == f"x + {p - 1}"
+    assert poly_str(x.scale((0, 2))) == "(2*t)*x"  # F_9
+
+
+def test_scale_reduces_its_factor():
+    # an unreduced int goes through Field.coerce like any other value
+    ring = PolynomialRing(prime_field(5), ("x", "y"))
+    x, y = ring.gens()
+    assert (x + y).scale(5) == ring.zero()
+    assert (x + y).scale(5).is_zero()
+    assert (x + y).scale(7) == (x + y).scale(2)
+    assert x.scale(-1) == -x
+
+
+def test_variable_index_is_checked():
+    ring = qring("x", "y")
+    x, y = ring.gens()
+    p = x * x * y + y
+    assert p.degree_in(0) == 2 and p.degree_in(1) == 1
+    assert ring.zero().degree_in(1) == -1
+    for i in (-1, 2):
+        with pytest.raises(InputError, match=f"no variable with index {i}"):
+            p.degree_in(i)
+        with pytest.raises(InputError, match=f"no variable with index {i}"):
+            p.coefficients_in(i)
 
 
 def test_from_terms_drops_zeros():

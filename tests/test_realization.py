@@ -275,9 +275,10 @@ def test_rank_zero_and_full_rank():
     assert find_realization(free, 2) is not None
     zero = uniform(1, 1).delete([1])
     assert realization_space(zero, 0).verdict is SpaceVerdict.NONEMPTY
-    # rank 0 has nothing to verify: the realization is the 0 x 0 matrix
+    # rank 0 has nothing to verify: the realization is the 0 x 3 matrix
     found = find_realization(uniform(0, 3), 2)
-    assert found is not None and found.matrix.nrows == 0
+    assert found is not None
+    assert (found.matrix.nrows, found.matrix.ncols) == (0, 3)
 
 
 def test_json_dict_shape():
