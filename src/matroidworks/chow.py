@@ -15,7 +15,10 @@ Every number is read off the lattice of flats; nothing is eliminated.
 * The basis of each graded piece is the degrevlex standard monomials of
   I + J.  A chain monomial is standard exactly when its class is not a
   combination of smaller monomials, and by Poincare duality its degrees
-  against the FY monomials of the complementary degree decide that.
+  against the FY monomials of the complementary degree decide that.  Only
+  FY monomials whose highest flat is comparable with every flat of the
+  chain pair with it, and the standard monomials are an order ideal, so
+  from degree 2 on only flats whose x_F is standard are scanned.
 * Elements are coordinates over the standard monomials.  A degree-1
   element sum c_F x_F and a product of elements are both reduced through
   the pairings: their degrees against the FY monomials of the
@@ -24,7 +27,8 @@ Every number is read off the lattice of flats; nothing is eliminated.
 alpha and beta are the degree-1 classes whose mixed volumes give the
 reduced characteristic polynomial, and kahler_report packages Poincare
 duality, hard Lefschetz, and the Hodge-Riemann form for one (k, ell) at
-a time, all from degrees of monomial products.
+a time, all from degrees of monomial products; powers of ell = a alpha +
+b beta come straight from the degree map.
 """
 
 from __future__ import annotations
@@ -97,7 +101,9 @@ class ChowRing:
         self._volumes: dict[tuple[int, int, int], int] = {}
         self._comp: Optional[list[int]] = None
         self._fy: dict[int, tuple] = {}
+        self._fy_groups: dict[int, dict] = {}
         self._standard: dict[int, tuple] = {}
+        self._standard_pairings: dict[int, list] = {}
         self._solvers: dict[int, dict] = {}
 
     def _comparability(self) -> list[int]:
@@ -216,15 +222,26 @@ class ChowRing:
         hit = self._fy[e] = tuple(out)
         return hit
 
-    def _chain_monomials(self, d: int):
-        """Chain monomials of degree d, smallest first in degrevlex.
+    def _fy_by_top(self, e: int) -> dict:
+        """The FY monomials of A^e as (s, chain, p, support), grouped by the
+        index of their highest flat, -1 for alpha^p alone."""
+        hit = self._fy_groups.get(e)
+        if hit is None:
+            hit = self._fy_groups[e] = {}
+            for s, (chain, p, supp) in enumerate(self._fy_monomials(e)):
+                hit.setdefault(supp.bit_length() - 1, []).append((s, chain, p, supp))
+        return hit
+
+    def _chain_monomials(self, d: int, usable):
+        """Chain monomials of degree d on the flat indices in usable,
+        smallest first in degrevlex.
 
         Degrevlex compares exponents from the last flat down, the larger
         exponent making the smaller monomial, so the highest flat and its
         exponent are chosen first, in descending order.
         """
         below = [
-            [j for j in range(i - 1, -1, -1) if self.flats[j] & f == self.flats[j]]
+            [j for j in range(i - 1, -1, -1) if j in usable and self.flats[j] | f == f]
             for i, f in enumerate(self.flats)
         ]
 
@@ -236,22 +253,29 @@ class ChowRing:
                 for a in range(left, 0, -1):
                     yield from extend(((f, a),) + chain, below[f], left - a)
 
-        return extend((), range(len(self.flats) - 1, -1, -1), d)
+        return extend((), [i for i in reversed(range(len(below))) if i in usable], d)
 
     def _pairing(self, mono: tuple) -> dict[int, int]:
         """deg(mono * t) over the FY monomials t of complementary degree,
-        as a sparse vector."""
+        as a sparse vector.  Only the groups of t whose highest flat is
+        comparable with every flat of mono are walked."""
         comp = self._comparability()
         allowed = -1
         for f, _ in mono:
             allowed &= comp[f]
-        fy = self._fy_monomials(self.top_degree - sum(e for _, e in mono))
+        groups = self._fy_by_top(self.top_degree - sum(e for _, e in mono))
+        tops, rest = [-1], allowed if mono else (1 << len(self.flats)) - 1
+        while rest:
+            low = rest & -rest
+            tops.append(low.bit_length() - 1)
+            rest ^= low
         out = {}
-        for s, (chain, p, supp) in enumerate(fy):
-            if not supp & ~allowed:
-                v = self._degree(self._product(mono, chain), p)
-                if v:
-                    out[s] = v
+        for top in tops:
+            for s, chain, p, supp in groups.get(top, ()):
+                if not supp & ~allowed:
+                    v = self._degree(self._product(mono, chain), p)
+                    if v:
+                        out[s] = v
         return out
 
     def _basis(self, d: int) -> tuple:
@@ -259,18 +283,23 @@ class ChowRing:
 
         The chain monomials are scanned smallest first; one is standard
         when its pairing is independent of those of the smaller standard
-        monomials.  The scan stops at the FY dimension.
+        monomials.  The scan stops at the FY dimension.  Every divisor of a
+        standard monomial is standard, so from degree 2 on it skips the
+        flats whose x_F is not in the degree-1 basis.  Keeps the pairings
+        of the basis for _solver.
         """
         hit = self._standard.get(d)
         if hit is not None:
             return hit
         dim = self.graded_dimension(d)
+        usable = {m[0][0] for m in self._basis(1)} if d >= 2 else range(len(self.flats))
         rows: dict = {}
         kept = []
         if dim:
-            for mono in self._chain_monomials(d):
-                if _add_row(rows, self._pairing(mono)):
-                    kept.append(mono)
+            for mono in self._chain_monomials(d, usable):
+                vec = self._pairing(mono)
+                if _add_row(rows, vec):
+                    kept.append((mono, vec))
                     if len(kept) == dim:
                         break
             else:
@@ -278,7 +307,9 @@ class ChowRing:
                     f"internal: {len(kept)} standard monomials in degree {d}, "
                     f"FY dimension {dim}"
                 )
-        hit = self._standard[d] = tuple(reversed(kept))
+        kept.reverse()
+        self._standard_pairings[d] = [vec for _, vec in kept]
+        hit = self._standard[d] = tuple(mono for mono, _ in kept)
         return hit
 
     def _solver(self, d: int) -> dict:
@@ -286,8 +317,9 @@ class ChowRing:
         hit = self._solvers.get(d)
         if hit is None:
             hit = self._solvers[d] = {}
-            for i, mono in enumerate(self._basis(d)):
-                _add_row(hit, self._pairing(mono), i)
+            self._basis(d)
+            for i, vec in enumerate(self._standard_pairings[d]):
+                _add_row(hit, vec, i)
         return hit
 
     def _element(self, d: int, pairing: dict, flat_coeffs=None) -> "ChowElement":
@@ -321,19 +353,38 @@ class ChowRing:
             )
         return idx
 
+    def _alpha_beta(self, flat_coeffs) -> Optional[tuple]:
+        """(a, b) when sum c_F x_F is a alpha + b beta flat by flat: c_F = a
+        on the flats that contain element 1 and b on the others.  None for
+        any other coefficients, none at all, or a ring without flats."""
+        pairs = list(zip(self.flats, flat_coeffs or ()))
+        split = [{c for f, c in pairs if f & 1 == one} for one in (1, 0)]
+        if any(len(values) != 1 for values in split):
+            return None
+        # integral values as ints keep the degrees in int arithmetic
+        return tuple(c.numerator if c.denominator == 1 else c for (c,) in split)
+
     def element_from_flat_coeffs(self, coeffs) -> "ChowElement":
         """Degree-1 element Sum c_F x_F; keys are flat masks or element
-        iterables.  Coordinates are solved from the summed pairings of the
-        x_F.  Keeps the raw flat coefficients for the Lefschetz test."""
+        iterables, values ints or Fractions.  Coordinates are solved from the
+        pairing, read off the degree map when the sum is a alpha + b beta
+        and summed from those of the x_F otherwise.  Keeps the flat
+        coefficients for the Lefschetz test and kahler_report."""
         by_idx: dict[int, Fraction] = {}
         for key, val in dict(coeffs).items():
             idx = self._flat_key(key)
-            by_idx[idx] = by_idx.get(idx, _ZERO) + Fraction(val)
-        pairing: dict[int, Fraction] = {}
-        for idx, c in by_idx.items():
-            for s, v in self._pairing(((idx, 1),)).items():
-                pairing[s] = pairing.get(s, 0) + c * v
+            by_idx[idx] = by_idx.get(idx, _ZERO) + _Q.coerce(val)
         flat_vec = tuple(by_idx.get(i, _ZERO) for i in range(len(self.flats)))
+        ab = self._alpha_beta(flat_vec)
+        pairing: dict[int, Fraction] = {}
+        if ab is None:
+            for idx, c in by_idx.items():
+                for s, v in self._pairing(((idx, 1),)).items():
+                    pairing[s] = pairing.get(s, 0) + c * v
+        else:
+            a, b = ab
+            for s, (chain, p, _) in enumerate(self._fy_monomials(self.top_degree - 1)):
+                pairing[s] = a * self._degree(chain, p + 1) + b * self._degree(chain, p, 1)
         return self._element(1, pairing, flat_vec)
 
 
@@ -356,13 +407,17 @@ class ChowElement:
     def __init__(self, ring: ChowRing, degree: int, coords, flat_coeffs=None):
         self.ring = ring
         self.degree = degree
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-        self.flat_coeffs = flat_coeffs
+        self.coords = tuple(c if type(c) is Fraction else _Q.coerce(c) for c in coords)
         if len(self.coords) != ring.graded_dimension(degree):
             raise WrongDegree(
                 f"{len(self.coords)} coordinates for a dimension-"
                 f"{ring.graded_dimension(degree)} component"
             )
+        if flat_coeffs is not None:
+            if degree != 1 or len(flat_coeffs) != len(ring.flats):
+                raise InputError("flat coefficients need degree 1 and one value per flat")
+            flat_coeffs = tuple(map(_Q.coerce, flat_coeffs))
+        self.flat_coeffs = flat_coeffs
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
@@ -395,7 +450,7 @@ class ChowElement:
         return self.scale(-1)
 
     def scale(self, c) -> "ChowElement":
-        c = Fraction(c)
+        c = _Q.coerce(c)
         return ChowElement(
             self.ring, self.degree, tuple(c * a for a in self.coords)
         )
@@ -534,8 +589,10 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
     fractional coefficients; their ranks and the kernel come from the
     sparse echelon of linalg.
 
-    Powers of ell = sum c_F x_F are expanded flat by flat, memoised on the
-    chain monomial they multiply.
+    When ell = a alpha + b beta (see ChowRing._alpha_beta), deg(ell^e
+    alpha^p chain) is sum_i C(e, i) a^i b^{e-i} deg(alpha^{p+i} beta^{e-i}
+    chain), read off the degree map.  Any other ell = sum c_F x_F is
+    expanded flat by flat, memoised on the chain monomial it multiplies.
     """
     top = ring.top_degree
     if k < 0 or 2 * k > top:
@@ -557,6 +614,13 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         for mono, c in zip(ring._basis(1), ell.coords)
         if c
     ]
+    ab = ring._alpha_beta(ell.flat_coeffs)
+    if ab is not None:  # C(e, i) a^i b^{e-i} by e, without the zero terms
+        ca, cb = ab
+        weights = [
+            [(i, c) for i in range(e + 1) if (c := math.comb(e, i) * ca**i * cb ** (e - i))]
+            for e in range(top + 1)
+        ]
     memo: dict[tuple, Fraction] = {}
 
     def ell_degree(chain: tuple, p: int = 0):
@@ -564,8 +628,11 @@ def kahler_report(ring: ChowRing, k: int, ell: ChowElement) -> PairingReport:
         key = (chain, p)
         hit = memo.get(key)
         if hit is None:
-            if p + sum(a for _, a in chain) == top:
+            e = top - p - sum(a for _, a in chain)
+            if not e:
                 hit = ring._degree(chain, p)
+            elif ab is not None:
+                hit = sum(c * ring._degree(chain, p + i, e - i) for i, c in weights[e])
             else:
                 allowed = -1
                 for f, _ in chain:

@@ -15,6 +15,12 @@ relations alpha_1 - alpha_j, computed by the dense rank of ``dense_linalg``.  Th
 Buchberger cross-check recomputes standard monomials and normal forms
 from a reduced degrevlex basis of the defining ideal, and they must
 coincide with the library's basis and products degree by degree.
+
+Each shortcut of the library is also compared with the plain scan it
+replaces: the pairing walk over FY monomials grouped by highest flat with
+a test of every FY monomial, the order-ideal basis scan with the scan of
+every chain monomial, and the Kaehler report of ell = a alpha + b beta
+from the degree map with the flat-by-flat expansion of the same ell.
 """
 
 import itertools
@@ -55,6 +61,7 @@ from matroidworks.errors import (
 from matroidworks.fields import rationals
 from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
 from matroidworks.invariants import reduced_characteristic_polynomial
+from matroidworks.linalg import _add_row
 from matroidworks.matroid import matroid_from_bases
 
 
@@ -658,3 +665,118 @@ def test_foreign_ell_is_rejected():
                 kahler_report(ring, 1, ell)
             with pytest.raises(InputError):
                 is_lefschetz_element(ring, ell)
+
+
+def test_inexact_coefficients_are_refused():
+    # floats, bools and strings are not exact rationals; Fraction(0.1)
+    # would store 3602879701896397/36028797018963968
+    ring = chow_ring(fano())
+    alpha = alpha_element(ring)
+    for bad in (0.1, 1.0, True, "1/2"):
+        with pytest.raises(InputError):
+            ring.element_from_flat_coeffs({ring.flats[0]: bad})
+        with pytest.raises(InputError):
+            alpha.scale(bad)
+        with pytest.raises(InputError):
+            ChowElement(ring, 1, (bad,) + alpha.coords[1:])
+    assert alpha.scale(Fraction(1, 2)) + alpha.scale(Fraction(1, 2)) == alpha
+    assert -alpha == alpha.scale(-1)
+
+
+def test_flat_coeffs_must_fit_the_flats():
+    ring = chow_ring(fano())
+    alpha = alpha_element(ring)
+    top = ChowElement(ring, 2, (1,))
+    for degree, coords, flat_coeffs in (
+        (1, alpha.coords, (1,)),
+        (1, alpha.coords, alpha.flat_coeffs + (0,)),
+        (2, top.coords, alpha.flat_coeffs),
+    ):
+        with pytest.raises(InputError):
+            ChowElement(ring, degree, coords, flat_coeffs)
+    same = ChowElement(ring, 1, alpha.coords, alpha.flat_coeffs)
+    assert same.flat_coeffs == alpha.flat_coeffs
+    assert not is_lefschetz_element(ring, same)
+
+
+def pairing_by_full_scan(ring, mono):
+    """The pairing of mono against every FY monomial of the complementary
+    degree, testing each one's support against the comparable flats."""
+    comp = ring._comparability()
+    allowed = -1
+    for f, _ in mono:
+        allowed &= comp[f]
+    fy = ring._fy_monomials(ring.top_degree - sum(e for _, e in mono))
+    out = {}
+    for s, (chain, p, supp) in enumerate(fy):
+        if not supp & ~allowed:
+            v = ring._degree(ring._product(mono, chain), p)
+            if v:
+                out[s] = v
+    return out
+
+
+def basis_by_full_scan(ring, d):
+    """Standard monomials of degree d by scanning every chain monomial."""
+    dim = ring.graded_dimension(d)
+    rows, kept = {}, []
+    for mono in ring._chain_monomials(d, range(len(ring.flats))):
+        if len(kept) == dim:
+            break
+        if _add_row(rows, pairing_by_full_scan(ring, mono)):
+            kept.append(mono)
+    return tuple(reversed(kept))
+
+
+CATALOG_NAMES = ["k4", "fano", "non_fano", "moebius_kantor", "pappus", "vamos"]
+
+
+# uniform(r, n) with r <= 4 and n <= 7 or 8, plus rank 5 on 5 to 7 elements:
+# the order-ideal scan of the middle degrees, the full-scan oracles and the
+# flat-by-flat expansion grow too fast past these (uniform(7,7) has
+# 543,607 chain monomials)
+RANK5 = ["uniform(5,5)", "uniform(5,6)", "uniform(5,7)"]
+
+
+def uniform_names(n_max):
+    return [f"uniform({r},{n})" for n in range(1, n_max + 1) for r in range(1, min(n, 4) + 1)]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + uniform_names(7) + RANK5[:2])
+def test_grouped_pairing_matches_full_scan(name):
+    # the walk over FY monomials grouped by their highest flat, on every
+    # chain monomial of every degree
+    ring = chow_ring(catalog(name))
+    for d in range(ring.top_degree + 1):
+        for mono in ring._chain_monomials(d, range(len(ring.flats))):
+            assert ring._pairing(mono) == pairing_by_full_scan(ring, mono)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + uniform_names(8) + RANK5)
+def test_order_ideal_basis_matches_full_scan(name):
+    # from degree 2 on the scan uses only flats of the degree-1 basis
+    ring = chow_ring(catalog(name))
+    for d in range(ring.top_degree + 1):
+        assert ring._basis(d) == basis_by_full_scan(ring, d)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + uniform_names(7) + RANK5[:1])
+def test_alpha_beta_report_matches_flat_expansion(name):
+    # ell = a alpha + b beta is read off the degree map; ell + 0 has no flat
+    # coefficients and expands its powers flat by flat
+    ring = chow_ring(catalog(name))
+    for a, b in ((1, 0), (0, 1), (2, 3), (Fraction(1, 2), Fraction(-1, 3))):
+        ell = ring.element_from_flat_coeffs({f: a if f & 1 else b for f in ring.flats})
+        assert ring._alpha_beta(ell.flat_coeffs) == ((a, b) if ring.flats else None)
+        for k in range(ring.top_degree // 2 + 1):
+            fast = kahler_report(ring, k, ell)
+            slow = kahler_report(ring, k, ell + ring.zero(1))
+            assert fast.mat1.rows == slow.mat1.rows
+            assert fast.mat2.rows == slow.mat2.rows
+            assert fast.kernel == slow.kernel
+            assert fast.restricted_form.rows == slow.restricted_form.rows
+            verdicts = [
+                (rep.poincare_nondegenerate, rep.hard_lefschetz_iso, rep.hodge_riemann_definite)
+                for rep in (fast, slow)
+            ]
+            assert verdicts[0] == verdicts[1]
