@@ -66,10 +66,9 @@ from .groebner import (
     saturate,
 )
 from .invariants import (
-    BiPoly,
-    UniPoly,
     characteristic_polynomial,
     chromatic_polynomial,
+    coefficients_descending,
     ingleton_violation,
     is_log_concave,
     reduced_characteristic_polynomial,

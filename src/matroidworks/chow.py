@@ -34,6 +34,7 @@ b beta come straight from the degree map.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -430,29 +431,33 @@ class ChowElement:
             and self.coords == other.coords
         )
 
-    def __add__(self, other: "ChowElement") -> "ChowElement":
+    def _combine(self, other: "ChowElement", op) -> "ChowElement":
+        """op term by term; the flat coefficients too when both carry them."""
         self._match(other)
+        flats = None
+        if self.flat_coeffs is not None and other.flat_coeffs is not None:
+            flats = tuple(map(op, self.flat_coeffs, other.flat_coeffs))
         return ChowElement(
-            self.ring,
-            self.degree,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
+            self.ring, self.degree, tuple(map(op, self.coords, other.coords)), flats
         )
 
+    def __add__(self, other: "ChowElement") -> "ChowElement":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "ChowElement") -> "ChowElement":
-        self._match(other)
-        return ChowElement(
-            self.ring,
-            self.degree,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "ChowElement":
         return self.scale(-1)
 
     def scale(self, c) -> "ChowElement":
         c = _Q.coerce(c)
+        flats = self.flat_coeffs
         return ChowElement(
-            self.ring, self.degree, tuple(c * a for a in self.coords)
+            self.ring,
+            self.degree,
+            tuple(c * a for a in self.coords),
+            None if flats is None else tuple(c * a for a in flats),
         )
 
     def _match(self, other):

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .invariants import (
     characteristic_polynomial,
+    coefficients_descending,
     ingleton_violation,
     is_log_concave,
     reduced_characteristic_polynomial,
@@ -47,6 +48,7 @@ from .matroid import (
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
+from .polynomials import poly_str
 from .realization import (
     SpaceVerdict,
     realization_space,
@@ -236,10 +238,10 @@ def cmd_info(args) -> int:
 # -- realization ------------------------------------------------------------
 
 
-def _space_lines(space) -> list[str]:
-    d = space.to_json_dict()
+def _space_lines(d: dict) -> list[str]:
+    """The text report of a realization space from its JSON dict."""
     lines = [
-        f"characteristic: {space.characteristic}",
+        f"characteristic: {d['characteristic']}",
         f"basis: {d['basis']}",
         "matrix:",
     ]
@@ -291,7 +293,8 @@ def cmd_realization(args) -> int:
         return 3 if any_undecided else 0
     char = 0 if args.char is None else args.char
     space = realization_space(m, char, simplify=simplify)
-    _emit(args, space.to_json_dict(), _space_lines(space))
+    report = space.to_json_dict()
+    _emit(args, report, _space_lines(report))
     return 3 if space.verdict is SpaceVerdict.UNDECIDED else 0
 
 
@@ -317,17 +320,17 @@ def cmd_invariants(args) -> int:
     m = _load_matroid(args)
     t = tutte_polynomial(m)
     chi = characteristic_polynomial(m)
-    coeffs = [abs(c) for c in chi.coefficients_descending()]
+    coeffs = [abs(c) for c in coefficients_descending(chi)]
     report = {
-        "tutte": t.render(),
-        "num_bases": t.evaluate(1, 1),
-        "characteristic": chi.render("q"),
+        "tutte": poly_str(t),
+        "num_bases": int(t.evaluate({0: 1, 1: 1})),
+        "characteristic": poly_str(chi),
         "characteristic_coefficients_abs": coeffs,
         "log_concave": is_log_concave(chi),
     }
     try:
         red = reduced_characteristic_polynomial(m)
-        report["reduced_characteristic"] = red.render("q")
+        report["reduced_characteristic"] = poly_str(red)
     except LoopPresent as exc:
         report["reduced_characteristic"] = None
         report["reduced_characteristic_note"] = str(exc)
@@ -363,9 +366,7 @@ def cmd_chow(args) -> int:
     ring = chow_ring(m)
     if args.k is None:
         omega = list(reduced_char_coefficients_via_volumes(ring))
-        red = list(
-            int(c) for c in reduced_characteristic_polynomial(m).coefficients_descending()
-        )
+        red = list(coefficients_descending(reduced_characteristic_polynomial(m)))
         report = {
             "graded_dimensions": list(ring.graded_dimensions()),
             "omega_bar": omega,

@@ -1,19 +1,21 @@
 """Tutte, characteristic, and chromatic polynomials; log-concavity; Ingleton.
 
-All coefficients are plain Python integers.  The Tutte polynomial comes
+The polynomials are Poly over Q: the Tutte polynomial in Q[x, y], the
+others in Q[q], both degrevlex, so they print through poly_str like every
+other polynomial.  Their coefficients are integers, and
+coefficients_descending reads them off as ints.  The Tutte polynomial comes
 from the corank-nullity subset sum up to n = 20 (SUBSET_RANK_LIMIT) and
 falls back to deletion-contraction above that.  The subset sum counts the
 (rank, size) cells of the matroid's cached subset-rank table
 (``matroid.subset_rank_table``) and expands each term once per cell.  The
 characteristic polynomial is the specialization chi(q) = (-1)^r T(1-q, 0);
-the tests check it against the direct signed subset sum.  UniPoly and
-BiPoly print through polynomials.render_terms, the text form that the
-realization polynomials share.
+the tests check it against the direct signed subset sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
@@ -24,6 +26,7 @@ from .errors import (
     SearchBudgetExceeded,
     current_budget,
 )
+from .fields import rationals
 from .matroid import (
     SUBSET_RANK_LIMIT,
     Matroid,
@@ -33,161 +36,26 @@ from .matroid import (
     mask_elements,
     matroid_from_graph,
 )
-from .polynomials import render_terms
+from .polynomials import Poly, PolynomialRing, exact_divide
+
+_XY = PolynomialRing(rationals(), ("x", "y"))  # the Tutte polynomials
+_Q = PolynomialRing(rationals(), ("q",))  # the others
+_X, _Y = _XY.gens()
+(_QVAR,) = _Q.gens()
 
 
-class UniPoly:
-    """Univariate integer polynomial, dense ascending coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def coefficients_descending(self) -> tuple[int, ...]:
-        return tuple(reversed(self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise InputError("negative polynomial power")
-        acc = UniPoly((1,))
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
-    def scale(self, c: int) -> "UniPoly":
-        return UniPoly(c * a for a in self.coeffs)
-
-    def evaluate(self, q):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-    def divide_exact(self, other: "UniPoly") -> "UniPoly":
-        """Exact quotient; NonzeroRemainder when the division does not come
-        out even (integer long division, leading coefficient must divide)."""
-        if other.is_zero():
-            raise InputError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) - 1 < d:
-            if self.is_zero():
-                return UniPoly()
-            raise NonzeroRemainder("quotient degree underflow")
-        out = [0] * (len(rem) - d)
-        for k in range(len(out) - 1, -1, -1):
-            c = rem[k + d]
-            if c % lead:
-                raise NonzeroRemainder(f"leading term left remainder {c} / {lead}")
-            f = c // lead
-            out[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= f * b
-        if any(rem):
-            raise NonzeroRemainder(f"remainder {UniPoly(rem)!r}")
-        return UniPoly(out)
-
-    def render(self, var: str = "q") -> str:
-        return render_terms(
-            (str(c), () if k == 0 else (var if k == 1 else f"{var}^{k}",))
-            for k, c in reversed(list(enumerate(self.coeffs)))
-            if c
-        )
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.render()})"
+def coefficients_descending(p: Poly) -> tuple[int, ...]:
+    """The integer coefficients of a polynomial in one variable, highest
+    degree first; () for the zero polynomial."""
+    out = [0] * (p.degree_in(0) + 1)
+    for e, c in p.terms.items():
+        if c.denominator != 1:
+            raise InputError(f"coefficient {c} is not an integer")
+        out[-1 - p.ring.exponents(e)[0]] = c.numerator
+    return tuple(out)
 
 
-class BiPoly:
-    """Bivariate integer polynomial, terms keyed by (x-degree, y-degree)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiPoly(out)
-
-    def evaluate(self, x, y):
-        acc = 0
-        for (i, j), c in self.terms.items():
-            acc += c * x**i * y**j
-        return acc
-
-    def specialize(self, x_poly: UniPoly, y_poly: UniPoly) -> UniPoly:
-        acc = UniPoly()
-        for (i, j), c in sorted(self.terms.items()):
-            acc = acc + (x_poly**i * y_poly**j).scale(c)
-        return acc
-
-    def render(self) -> str:
-        by_degree = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), -t[0][0]))
-        return render_terms(
-            (str(c), [v if k == 1 else f"{v}^{k}" for v, k in (("x", i), ("y", j)) if k])
-            for (i, j), c in by_degree
-        )
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.render()})"
-
-
-def _tutte_subset_sum(m: Matroid) -> BiPoly:
+def _tutte_subset_sum(m: Matroid) -> Poly:
     """Sum of (x-1)^(r - r(S)) (y-1)^(|S| - r(S)) over all subsets S.
 
     The term depends only on (r(S), |S|), so subsets are first counted per
@@ -196,33 +64,32 @@ def _tutte_subset_sum(m: Matroid) -> BiPoly:
     """
     r = m.rank
     hist = Counter(zip(m._rank_table(), _popcounts(m.n)))
+    x, y = _X.leading_exp(), _Y.leading_exp()
     acc: dict = {}
     for (rs, size), count in hist.items():
         a, b = r - rs, size - rs
         for i in range(a + 1):
             xa = count * comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
-                key = (i, j)
+                key = i * x + j * y  # the packed monomial x^i y^j
                 acc[key] = acc.get(key, 0) + xa * comb(b, j) * (-1) ** (b - j)
-    return BiPoly(acc)
+    return Poly(_XY, {e: Fraction(c) for e, c in acc.items() if c})
 
 
-def _tutte_deletion_contraction(m: Matroid, memo: dict) -> BiPoly:
+def _tutte_deletion_contraction(m: Matroid, memo: dict) -> Poly:
     key = (m.n, m.bases)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if m.n == 0:
-        out = BiPoly({(0, 0): 1})
+        out = _XY.one()
     else:
         loops = set(m.loops())
         e = 1
         if e in loops:
-            sub = _tutte_deletion_contraction(m.delete((e,)), memo)
-            out = BiPoly({(i, j + 1): c for (i, j), c in sub.terms.items()})
+            out = _tutte_deletion_contraction(m.delete((e,)), memo) * _Y
         elif all(b & 1 for b in m.bases):  # coloop
-            sub = _tutte_deletion_contraction(m.contract((e,)), memo)
-            out = BiPoly({(i + 1, j): c for (i, j), c in sub.terms.items()})
+            out = _tutte_deletion_contraction(m.contract((e,)), memo) * _X
         else:
             out = _tutte_deletion_contraction(
                 m.delete((e,)), memo
@@ -231,28 +98,39 @@ def _tutte_deletion_contraction(m: Matroid, memo: dict) -> BiPoly:
     return out
 
 
-def tutte_polynomial(m: Matroid) -> BiPoly:
+def tutte_polynomial(m: Matroid) -> Poly:
     if m.n <= SUBSET_RANK_LIMIT:
         return _tutte_subset_sum(m)
     return _tutte_deletion_contraction(m, {})
 
 
-def characteristic_polynomial(m: Matroid) -> UniPoly:
-    """chi(q) = (-1)^rk T(1-q, 0)."""
-    chi = tutte_polynomial(m).specialize(UniPoly((1, -1)), UniPoly())
-    return -chi if m.rank % 2 else chi
+def characteristic_polynomial(m: Matroid) -> Poly:
+    """chi(q) = (-1)^rk T(1-q, 0), expanded by the binomial theorem from
+    the y-free terms c x^i of T."""
+    sign = -1 if m.rank % 2 else 1
+    acc: dict = {}
+    for e, c in tutte_polynomial(m).terms.items():
+        i, j = _XY.exponents(e)
+        if not j:  # T has integer coefficients: sum them as ints
+            for k in range(i + 1):
+                acc[k] = acc.get(k, 0) + sign * c.numerator * comb(i, k) * (-1) ** k
+    q = _QVAR.leading_exp()
+    return Poly(_Q, {k * q: Fraction(c) for k, c in acc.items() if c})
 
 
-def reduced_characteristic_polynomial(m: Matroid) -> UniPoly:
+def reduced_characteristic_polynomial(m: Matroid) -> Poly:
+    """chi(q) / (q - 1)."""
     if m.loops():
         raise LoopPresent("reduced characteristic polynomial needs a loop-free matroid")
-    chi = characteristic_polynomial(m)
-    return chi.divide_exact(UniPoly((-1, 1)))
+    red = exact_divide(characteristic_polynomial(m), _QVAR - _Q.one())
+    if red is None:
+        raise NonzeroRemainder("q - 1 does not divide the characteristic polynomial")
+    return red
 
 
 def chromatic_polynomial(
     edges: Sequence[tuple[int, int]], num_vertices: Optional[int] = None
-) -> UniPoly:
+) -> Poly:
     """q^c * chi of the cycle matroid, the proper-coloring count.
 
     Vertices are the edge endpoints plus 1..num_vertices when given (the
@@ -272,16 +150,14 @@ def chromatic_polynomial(
             raise InputError("edge endpoint exceeds the declared vertex count")
         verts |= set(range(1, num_vertices + 1))
     c = _component_count(verts, edges)
-    chi = characteristic_polynomial(matroid_from_graph(edges))
-    return chi * UniPoly([0] * c + [1])
+    return characteristic_polynomial(matroid_from_graph(edges)) * _QVAR**c
 
 
-def is_log_concave(p: Union[UniPoly, Iterable[int]]) -> bool:
+def is_log_concave(p: Union[Poly, Iterable[int]]) -> bool:
     """w_j^2 >= w_{j-1} * w_{j+1} on absolute values, interior j only."""
-    if isinstance(p, UniPoly):
-        seq = [abs(c) for c in p.coeffs]
-    else:
-        seq = [abs(int(c)) for c in p]
+    if isinstance(p, Poly):
+        p = coefficients_descending(p)
+    seq = [abs(int(c)) for c in p]
     return all(
         seq[j] * seq[j] >= seq[j - 1] * seq[j + 1]
         for j in range(1, len(seq) - 1)

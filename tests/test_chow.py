@@ -60,7 +60,10 @@ from matroidworks.errors import (
 )
 from matroidworks.fields import rationals
 from matroidworks.groebner import Ideal, buchberger, normal_form, s_polynomial
-from matroidworks.invariants import reduced_characteristic_polynomial
+from matroidworks.invariants import (
+    coefficients_descending,
+    reduced_characteristic_polynomial,
+)
 from matroidworks.linalg import _add_row
 from matroidworks.matroid import matroid_from_bases
 
@@ -278,7 +281,7 @@ def test_volume_coefficients_equal_reduced_characteristic():
     for m in matroids:
         ring = chow_ring(m)
         got = reduced_char_coefficients_via_volumes(ring)
-        want = reduced_characteristic_polynomial(m).coefficients_descending()
+        want = coefficients_descending(reduced_characteristic_polynomial(m))
         assert got == want
     assert reduced_char_coefficients_via_volumes(chow_ring(graphic_k4())) == (
         1,
@@ -308,6 +311,33 @@ def test_lefschetz_element_predicate():
     assert not is_lefschetz_element(ring, beta_element(ring))
     u45 = chow_ring(uniform(4, 5))
     assert is_lefschetz_element(u45, strict_ell(u45))
+
+
+def test_element_arithmetic_keeps_flat_coefficients():
+    ring = chow_ring(uniform(4, 6))
+    alpha, beta = alpha_element(ring), beta_element(ring)
+    ones = ring.element_from_flat_coeffs({f: 1 for f in ring.flats})
+    total = alpha + beta
+    assert total == ones and total.flat_coeffs == ones.flat_coeffs
+    assert is_lefschetz_element(ring, total) is is_lefschetz_element(ring, ones)
+    assert alpha.scale(2).flat_coeffs == tuple(2 * c for c in alpha.flat_coeffs)
+    assert (-alpha).flat_coeffs == tuple(-c for c in alpha.flat_coeffs)
+    assert (total - beta).flat_coeffs == alpha.flat_coeffs
+    # an operand without flat coefficients leaves none on the result
+    bare = ChowElement(ring, 1, beta.coords)
+    assert (alpha + bare).flat_coeffs is None
+    assert (alpha + bare) == total
+
+
+def test_kahler_report_of_a_scaled_element_matches_its_coordinates():
+    # the oracle: the flat-by-flat route on the bare coordinates
+    ring = chow_ring(uniform(4, 6))
+    two_alpha = alpha_element(ring).scale(2)
+    bare = ChowElement(ring, 1, two_alpha.coords)
+    assert (
+        kahler_report(ring, 1, two_alpha).to_json_dict()
+        == kahler_report(ring, 1, bare).to_json_dict()
+    )
 
 
 def test_pairings_rank_three_catalog():

@@ -20,6 +20,7 @@ from matroidworks.matroid import (
     matroid_from_json_dict,
     matroid_to_json_dict,
 )
+from matroidworks.realization import RealizationSpace
 from test_realization import count_chart_choices, spy_on_rabinowitsch
 
 CORPUS = str(Path(__file__).parent / "data" / "catalog_corpus.json")
@@ -456,6 +457,37 @@ def test_realization_json_bytes(capsys, name, char, no_simplify, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the text and JSON `mw realization --name N --char C`, taken
+# when the text report rendered the space a second time.
+REALIZATION_TEXT_DIGESTS = {
+    ("fano", 0): "d2baaf796cf727021a72b05e1a6390165cd46d00d8eea753c9b50e07692132d6",
+    ("fano", 2): "ea6e5a17fc4819862ea882cc656368f98fed239b77fb910a83d63490df619320",
+    ("pappus", 0): "71dff4b463df56c3d4bfc60e600a4ce616b87b9fa73abc52d98f51632971afbf",
+}
+
+
+@pytest.mark.parametrize("name,char", list(REALIZATION_TEXT_DIGESTS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_realization_renders_the_space_once(capsys, monkeypatch, name, char, fmt):
+    calls = []
+    to_json_dict = RealizationSpace.to_json_dict
+
+    def spy(space):
+        calls.append(space)
+        return to_json_dict(space)
+
+    monkeypatch.setattr(RealizationSpace, "to_json_dict", spy)
+    argv = ["realization", "--name", name, "--char", str(char), "--format", fmt]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert len(calls) == 1
+    if fmt == "text":
+        digest = REALIZATION_TEXT_DIGESTS[name, char]
+    else:
+        [digest] = [d for n, c, ns, d in REALIZATION_DIGESTS if (n, c, ns) == (name, char, False)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of `mw info` reports, taken from the json.dumps(indent=2) writer
 # and the bit-at-a-time mask_elements that the byte table replaced.
 INFO_DIGESTS = [
@@ -486,6 +518,46 @@ def test_info_bytes(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `mw invariants` (text, then JSON), taken when the Tutte and
+# characteristic polynomials had their own integer polynomial types; "loopy"
+# is the rank-1 matroid on {1, 2, 3} with bases {1, 2} and loop 3.
+INVARIANTS_DIGESTS = [
+    ("fano", "672f48c37ebd5255fcbd99d071cc635911e9fc83b39c9c8e55c96b068110f7ca",
+     "32506ce0b9f94bcab654ed726c4e78e32e3d3fdcd7b79b52fbabc2517b51a3b9"),
+    ("non_fano", "8e71fc7701686d5c4a7c0572d28acef8a17c6d38fc4c782cc64444f46a32ed9f",
+     "a00d14ecbb6ee6a5e4910e3cb407d6e578c6e93c4b717c6673fa26294baeb049"),
+    ("vamos", "852f4ee725e294e4de00a4f0e3d98d72b711f9e884f040d2408561321e3b46d8",
+     "c28c842570153eb8b79210ea2346176eadaaee32139fe9bfeac97be3aa8fe8a2"),
+    ("moebius_kantor", "1d01ad4e59393b5b83088d0532ee26dc9c895af4bc45034195f1d4ebd7ee0482",
+     "99f188fa84b7547e698796a9bcc5e5d1f42653460ff050542b810a4f6332b095"),
+    ("pappus", "d53479b45db65a4c7bb4beab5ada61f6a5a028e8fa8e1c8977d23ce09f51802b",
+     "abd93a837ba221393b7836e5a28d3d692521f891e8f9379cbedc8d02244b7351"),
+    ("k4", "ba99fc5e4595e39ccf507f5ce332c81bbe457294cd889b5cd68c126bde0fdd70",
+     "162a701fa853f8253f93750995302000b3616175e96a4b2cb6c4ebc58bb19c61"),
+    ("uniform(3,6)", "2c9e90881120af92038f9fa218f97eeeb244c2efb37e32e5d77d6e14b5171bea",
+     "e80d3d782785b818182c3ee4e1b6a1f4a0c7f3f6e0f296ea6c92c74dc6358771"),
+    ("uniform(4,8)", "c701ea51ed06eacce601e3d5a016fcf92717e8f000dd2162e6a2cae2fc9142a7",
+     "fe33f69b403408fc7c8e8bc5de3c4e5025194b2b823232baa87a0cccf7756ec7"),
+    ("loopy", "3a9bd6c9324037994bbb373918be92314d239b0936c9fdbf9556feb584c6331d",
+     "09bdcbba2cbc41bf99810efe4f98c92c9f6ca608f5f2f0f3a32cb8bdc9291e04"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,text_digest,json_digest", INVARIANTS_DIGESTS, ids=[n for n, _, _ in INVARIANTS_DIGESTS]
+)
+def test_invariants_bytes(capsys, tmp_path, name, text_digest, json_digest):
+    source = ["--name", name]
+    if name == "loopy":
+        path = tmp_path / "loopy.json"
+        path.write_text(json.dumps(matroid_to_json_dict(matroid_from_bases(3, [[1, 2]]))))
+        source = ["--file", str(path)]
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        rc, out, _ = run(capsys, ["invariants", *source, "--format", fmt])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 STRINGS = [

@@ -265,6 +265,21 @@ def test_poly_str_golden():
     assert poly_str(-x * y.scale(3) + x) == "-3*x*y + x"
     half = x.scale(Fraction(-1, 2)) * y - y * y + ring.one().scale(Fraction(-7, 2))
     assert poly_str(half) == "-1/2*x*y - y^2 - 7/2"
+    # the forms of the Tutte polynomials (in x, y) and the others (in q)
+    assert poly_str(-x * x - (x * y).scale(3) + y - ring.one().scale(2)) == (
+        "-x^2 - 3*x*y + y - 2"
+    )
+    assert poly_str(x - y * y) == "-y^2 + x"
+    assert poly_str(ring.one().scale(4)) == "4"
+    for name in ("q", "t"):
+        one_var = qring(name)
+        v, one = one_var.gens()[0], one_var.one()
+        assert poly_str(-v) == f"-{name}"
+        assert poly_str(v * v + one.scale(2)) == f"{name}^2 + 2"
+        assert poly_str(-v * v + v - one.scale(3)) == f"-{name}^2 + {name} - 3"
+        assert poly_str((v**3).scale(-2) - v + one) == f"-2*{name}^3 - {name} + 1"
+        assert poly_str(one.scale(-5)) == "-5"
+        assert poly_str(one.scale(7)) == "7"
     f5xy = PolynomialRing(prime_field(5), ("x", "y"))
     a, b = f5xy.gens()
     assert poly_str(-a * b + b.scale(3) - f5xy.one()) == "4*x*y + 3*y + 4"
