@@ -96,7 +96,6 @@ from .polynomials import (
 )
 from .realization import (
     UNDECIDED,
-    RealizationMatrix,
     RealizationSpace,
     SpaceVerdict,
     choose_basis,

@@ -86,11 +86,13 @@ def _fy_dimensions(levels) -> tuple[int, ...]:
 
 
 class ChowRing:
-    """Graded data of A(M); built through :func:`chow_ring`."""
+    """Graded data of A(M) for a loop-free matroid of rank at least 1."""
 
-    def __init__(self, m: Matroid, _token=None):
-        if _token is not _BUILD_TOKEN:
-            raise InputError("use chow_ring() to construct Chow rings")
+    def __init__(self, m: Matroid):
+        if m.rank < 1:
+            raise InputError("Chow ring needs rank at least 1")
+        if m.loops():
+            raise LoopPresent(f"loops {list(m.loops())} are not allowed")
         self.matroid = m
         # every flat, empty and ground set included, bucketed by rank
         self._levels = tuple(m.flats(k).masks for k in range(m.rank + 1))
@@ -389,15 +391,8 @@ class ChowRing:
         return self._element(1, pairing, flat_vec)
 
 
-_BUILD_TOKEN = object()
-
-
-def chow_ring(m: Matroid) -> ChowRing:
-    if m.rank < 1:
-        raise InputError("Chow ring needs rank at least 1")
-    if m.loops():
-        raise LoopPresent(f"loops {list(m.loops())} are not allowed")
-    return ChowRing(m, _BUILD_TOKEN)
+# The documented entry; the benchmark tracer wraps it as cli.chow_ring.
+chow_ring = ChowRing
 
 
 class ChowElement:

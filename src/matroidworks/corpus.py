@@ -34,16 +34,28 @@ class EntryResult:
     detail: str = ""
 
 
+def _counted(status: str) -> property:
+    return property(lambda self: sum(r.status == status for r in self.results))
+
+
 @dataclass(frozen=True)
 class CorpusSummary:
+    """One result per entry, in input order; the counts are read off them."""
+
     filter_spec: Optional[str]
     results: tuple
-    total: int
-    selected: int
-    count_true: int
-    count_false: int
-    count_undecided: int
-    count_error: int
+    count_true = _counted("true")
+    count_false = _counted("false")
+    count_undecided = _counted("undecided")
+    count_error = _counted("error")
+
+    @property
+    def total(self) -> int:
+        return len(self.results)
+
+    @property
+    def selected(self) -> int:
+        return sum(r.status != "filtered" for r in self.results)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,39 +155,16 @@ def run_corpus(entries, filter_spec: Optional[str] = None) -> CorpusSummary:
     reported and the run moves on.
     """
     pred = parse_filter(filter_spec)
-    results = []
-    n_true = n_false = n_und = n_err = n_sel = 0
-    for entry in entries:
-        if pred is not None and not pred(entry.matroid):
-            results.append(EntryResult(entry.identifier, "filtered"))
-            continue
-        n_sel += 1
-        try:
-            verdict = is_realizable(entry.matroid, 0)
-        except MatroidworksError as exc:
-            n_err += 1
-            results.append(
-                EntryResult(entry.identifier, "error", f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        if verdict is UNDECIDED:
-            n_und += 1
-            results.append(
-                EntryResult(entry.identifier, "undecided", "budget exhausted")
-            )
-        elif verdict:
-            n_true += 1
-            results.append(EntryResult(entry.identifier, "true"))
-        else:
-            n_false += 1
-            results.append(EntryResult(entry.identifier, "false"))
-    return CorpusSummary(
-        filter_spec=filter_spec,
-        results=tuple(results),
-        total=len(entries),
-        selected=n_sel,
-        count_true=n_true,
-        count_false=n_false,
-        count_undecided=n_und,
-        count_error=n_err,
-    )
+    return CorpusSummary(filter_spec, tuple(_run_entry(e, pred) for e in entries))
+
+
+def _run_entry(entry: CorpusEntry, pred) -> EntryResult:
+    if pred is not None and not pred(entry.matroid):
+        return EntryResult(entry.identifier, "filtered")
+    try:
+        verdict = is_realizable(entry.matroid, 0)
+    except MatroidworksError as exc:
+        return EntryResult(entry.identifier, "error", f"{type(exc).__name__}: {exc}")
+    if verdict is UNDECIDED:
+        return EntryResult(entry.identifier, "undecided", "budget exhausted")
+    return EntryResult(entry.identifier, "true" if verdict else "false")

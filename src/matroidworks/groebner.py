@@ -83,9 +83,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def contains_one(self) -> bool:
-        return has_unit(self.elements)
-
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} elements, {self.ring.order!r})"
 
@@ -222,10 +219,8 @@ def buchberger(ideal: Ideal) -> GroebnerBasis:
     reductions = 0
     while heap:
         lcm, i, j = heapq.heappop(heap)
-        pk = frozenset((i, j))
-        if pk in done:
-            continue
-        done.add(pk)
+        # push_pairs pairs each index once with every lower one
+        done.add(frozenset((i, j)))
         # coprime criterion
         if lcm == lms[i] + lms[j]:
             continue
@@ -421,7 +416,7 @@ def saturate(ideal: Ideal, inequations: Sequence[Poly]) -> Ideal:
     """
     ring = ideal.ring
     gb = buchberger(ideal)
-    if gb.contains_one():
+    if has_unit(gb):
         return Ideal(ring, (ring.one(),))
     if any(u.ring != ring for u in inequations):
         raise RingMismatch("inequation over the wrong ring")

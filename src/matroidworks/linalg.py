@@ -208,9 +208,9 @@ class ExactMatrix:
 class MinorOracle:
     """Cofactor-expansion determinants of a fixed grid of polynomials.
 
-    The grid is a list of rows of Poly over one ring.  det(cols) expands
-    along the first listed column, memoizing every (rows, cols) subproblem;
-    distinct maximal minors of one matrix share most of their recursion tree.
+    The grid is rows of Poly over one ring.  det(cols), the maximal minor on
+    cols, expands along the first listed column, memoizing each (rows, cols)
+    subproblem; distinct maximal minors share most of their recursion tree.
     """
 
     def __init__(self, grid: Sequence[Sequence[Poly]]):
@@ -224,12 +224,11 @@ class MinorOracle:
         self.grid = [list(row) for row in grid]
         self._memo: dict[tuple, Poly] = {}
 
-    def det(self, cols: Sequence[int], rows: Optional[Sequence[int]] = None) -> Poly:
-        rows = tuple(rows) if rows is not None else tuple(range(len(self.grid)))
+    def det(self, cols: Sequence[int]) -> Poly:
         cols = tuple(cols)
-        if len(rows) != len(cols):
+        if len(cols) != len(self.grid):
             raise InputError("minor needs equally many rows and columns")
-        return self._det(rows, cols)
+        return self._det(tuple(range(len(self.grid))), cols)
 
     def _det(self, rows: tuple, cols: tuple) -> Poly:
         if not rows:

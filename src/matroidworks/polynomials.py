@@ -175,11 +175,6 @@ class Poly:
         """The coefficient of the constant term (field zero if absent)."""
         return self.terms.get(0, self.ring.field.zero)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(self.ring.exponents(e)) for e in self.terms)
-
     def variables(self) -> tuple[int, ...]:
         used = 0
         for e in self.terms:
@@ -370,7 +365,7 @@ def poly_str(p: Poly) -> str:
 
 def poly_sort_key(p: Poly):
     """Total deterministic key on polynomials (used to fix tie-breaks)."""
-    return tuple((e, repr(p.terms[e])) for e in p.sorted_terms())
+    return tuple((e, str(p.terms[e])) for e in p.sorted_terms())
 
 
 def exact_divide(f: Poly, g: Poly) -> Optional[Poly]:

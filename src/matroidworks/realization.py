@@ -40,7 +40,6 @@ from .errors import (
     current_budget,
 )
 from .fields import (
-    Field,
     factor_prime_power,
     field_of_characteristic,
     field_of_order,
@@ -212,15 +211,6 @@ class RealizationSpace:
         }
 
 
-@dataclass(frozen=True)
-class RealizationMatrix:
-    field: Field
-    matrix: ExactMatrix
-
-    def rows(self) -> list[list]:
-        return [list(row) for row in self.matrix.rows]
-
-
 def _simplify(ring, gens, ineqs):
     """The simplification loop: GB, inequation reduction, elimination.
 
@@ -232,7 +222,7 @@ def _simplify(ring, gens, ineqs):
     ineqs = list(ineqs)
     for _ in range(len(ring.names) + 2):
         gb = buchberger(Ideal(ring, gens))
-        if gb.contains_one():
+        if has_unit(gb):
             return (ring.one(),), tuple(ineqs), tuple(subs), True
         gens = list(gb.elements)
         reduced = reduce_inequations(ineqs, gens)
@@ -425,7 +415,7 @@ def is_realizable_over_q(m: Matroid, q: int) -> bool:
     return _realizable_in(realization_space(m, p), q)
 
 
-def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
+def find_realization(m: Matroid, q: int) -> Optional[ExactMatrix]:
     """An explicit r x n matrix over F_q realizing m, or None.
 
     The found point is pushed back through the substitution log (all
@@ -454,7 +444,7 @@ def find_realization(m: Matroid, q: int) -> Optional[RealizationMatrix]:
             raise MatroidworksError(
                 "internal: realization verification failed"
             )
-        return RealizationMatrix(fq, ExactMatrix.from_rows(fq, rows, m.n))
+        return ExactMatrix.from_rows(fq, rows, m.n)
     return None
 
 

@@ -135,7 +135,7 @@ def test_criterion_06_pappus():
     assert len(space.inequations) == 7
     real = find_realization(pappus(), 11)
     assert real is not None
-    assert matroid_from_matrix(real.field, real.rows()) == pappus()
+    assert matroid_from_matrix(real.field, real.rows) == pappus()
     _ok(6, "pappus: two free variables, seven inequations, F_11 witness")
 
 

@@ -43,6 +43,7 @@ from matroidworks.catalog import (
 )
 from matroidworks.chow import (
     ChowElement,
+    ChowRing,
     alpha_element,
     beta_element,
     chow_ring,
@@ -810,3 +811,25 @@ def test_alpha_beta_report_matches_flat_expansion(name):
                 for rep in (fast, slow)
             ]
             assert verdicts[0] == verdicts[1]
+
+
+def test_ring_class_validates():
+    # the class is the one door: it checks the loops itself
+    with pytest.raises(LoopPresent):
+        ChowRing(matroid_from_bases(3, [[1, 2]]))
+    ring = ChowRing(uniform(3, 5))
+    assert ring.graded_dimensions() == chow_ring(uniform(3, 5)).graded_dimensions()
+
+
+def test_element_guards():
+    ring = chow_ring(uniform(3, 4))
+    alpha = alpha_element(ring)
+    with pytest.raises(InputError):
+        alpha ** -1
+    square = alpha * alpha
+    with pytest.raises(WrongDegree):
+        is_lefschetz_element(ring, square)
+    with pytest.raises(InputError):
+        is_lefschetz_element(ring, ChowElement(ring, 1, alpha.coords))
+    with pytest.raises(WrongDegree):
+        kahler_report(ring, 0, square)

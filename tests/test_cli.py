@@ -727,6 +727,28 @@ def test_corpus_text_and_filter(capsys):
     assert statuses["vamos"] == "filtered"
 
 
+# SHA-256 of `mw corpus` on the bundled file (text, then JSON), taken when
+# the summary stored its counts beside its results
+CORPUS_DIGESTS = [
+    ([], "1f785f43950f6627a2da8247d1b1b22d0dff3b901fb3a2866c77bfdef658651a",
+     "7ab22ab70d86e1a7752d4a8c04ee7b9972762e881708afeb441d9fa6cce9ea43"),
+    (["--filter", "simple"], "1f785f43950f6627a2da8247d1b1b22d0dff3b901fb3a2866c77bfdef658651a",
+     "fac5a85e0f674e09a67009212804a225d399399ebfeba343d8d3813d074276de"),
+    (["--filter", "rank=3"], "4b00514fd4ddcb16ed8b902a0677fd1b63457d6ed01d093fb05dd93b800e7abe",
+     "88cae0e4ed01e5ba3f8eade4bdb6c269307a9f059ec7e4d4386c694060442969"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra,text_digest,json_digest", CORPUS_DIGESTS, ids=["all", "simple", "rank3"]
+)
+def test_corpus_bytes(capsys, extra, text_digest, json_digest):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        rc, out, _ = run(capsys, ["corpus", CORPUS, *extra, "--format", fmt])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_corpus_takes_no_action_flag(capsys):
     # realizability in characteristic 0 is the only run, so there is no
     # --action to choose it

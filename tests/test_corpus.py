@@ -128,6 +128,22 @@ def test_undecided_counts_as_undecided():
     assert summary.results[0].status == "undecided"
 
 
+def test_entry_with_a_loop_is_an_error():
+    loopy = matroid_from_bases(3, [[1, 2]])
+    entries = parse_corpus(
+        {"entries": [entry_dict("k4", graphic_k4()), entry_dict("loopy", loopy)]}
+    )
+    summary = run_corpus(entries)
+    assert [r.status for r in summary.results] == ["true", "error"]
+    assert summary.results[1].detail.startswith("LoopPresent: ")
+    assert (summary.total, summary.selected, summary.count_true) == (2, 2, 1)
+    assert (summary.count_false, summary.count_undecided, summary.count_error) == (0, 0, 1)
+    # the simple filter sets the loopy entry aside before it is run
+    summary = run_corpus(entries, filter_spec="simple")
+    assert [r.status for r in summary.results] == ["true", "filtered"]
+    assert (summary.total, summary.selected, summary.count_error) == (2, 1, 0)
+
+
 def test_json_dict_shape():
     entries = load_corpus(str(DATA))
     d = run_corpus(entries).to_json_dict()

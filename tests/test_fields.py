@@ -137,3 +137,19 @@ def test_render_extension_elements():
     f = extension_field(2, 2)
     rendered = {f.render(a) for a in f.iter_elements()}
     assert len(rendered) == 4
+
+
+def test_field_guards():
+    f8 = extension_field(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        prime_field(7).inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f8.inv(f8.zero)
+    with pytest.raises(NonPrimeCharacteristic):
+        extension_field(4, 2)
+    with pytest.raises(InputError):
+        extension_field(2, 1)
+    with pytest.raises(InputError):
+        prime_field(7).coerce("1")
+    with pytest.raises(InputError):
+        f8.coerce((1,))

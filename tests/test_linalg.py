@@ -10,7 +10,7 @@ from dense_linalg import bareiss_rank, det, echelon, kernel_basis
 
 from matroidworks import chow
 from matroidworks.catalog import catalog, catalog_names
-from matroidworks.errors import InputError, NotSymmetric
+from matroidworks.errors import InputError, NotSymmetric, RingMismatch
 from matroidworks.fields import prime_field, rationals
 from matroidworks.linalg import ExactMatrix, MinorOracle
 from matroidworks.polynomials import PolynomialRing, poly_str
@@ -340,20 +340,27 @@ def test_minor_oracle_matches_leibniz():
     zero = ring.zero()
     grid = [[one, a, b], [zero, one, c], [a, d, one]]
     oracle = MinorOracle(grid)
+
+    def minor(rows, cols):
+        # the maximal minor of the sub-grid on these rows
+        return MinorOracle([grid[r] for r in rows]).det(cols)
+
     for cols in itertools.combinations(range(3), 2):
         for rows in itertools.combinations(range(3), 2):
-            got = oracle.det(cols, rows)
             expect = (
                 grid[rows[0]][cols[0]] * grid[rows[1]][cols[1]]
                 - grid[rows[0]][cols[1]] * grid[rows[1]][cols[0]]
             )
-            assert got == expect
+            assert minor(rows, cols) == expect
     full = oracle.det((0, 1, 2))
     # cofactor expansion along the first row
-    m01 = oracle.det((1, 2), (1, 2))
-    m11 = oracle.det((0, 2), (1, 2))
-    m21 = oracle.det((0, 1), (1, 2))
+    m01 = minor((1, 2), (1, 2))
+    m11 = minor((1, 2), (0, 2))
+    m21 = minor((1, 2), (0, 1))
     assert full == grid[0][0] * m01 - grid[0][1] * m11 + grid[0][2] * m21
+    # a minor of a 3-row grid takes three columns
+    with pytest.raises(InputError):
+        oracle.det((0, 1))
 
 
 def test_shape_errors():
@@ -361,3 +368,14 @@ def test_shape_errors():
         ExactMatrix.from_rows(Q, [[1, 2], [3]])
     with pytest.raises(NotSymmetric):
         ExactMatrix.from_rows(Q, [[1, 2]]).is_positive_definite()
+
+
+def test_input_guards():
+    with pytest.raises(InputError):
+        ExactMatrix.from_rows(prime_field(5), [[1]]).is_positive_definite()
+    with pytest.raises(InputError):
+        MinorOracle([])
+    (a,) = PolynomialRing(Q, ("a",)).gens()
+    (b,) = PolynomialRing(prime_field(5), ("a",)).gens()
+    with pytest.raises(RingMismatch):
+        MinorOracle([[a, a], [a, b]])

@@ -27,7 +27,7 @@ from matroidworks.errors import (
     InputError,
     UnequalBasisSizes,
 )
-from matroidworks.fields import prime_field
+from matroidworks.fields import prime_field, rationals
 from matroidworks.matroid import (
     SUBSET_RANK_LIMIT,
     Matroid,
@@ -773,3 +773,14 @@ def test_catalog_shapes():
     assert uniform(2, 4).bases.masks == tuple(
         mask_of(c, 4) for c in itertools.combinations(range(1, 5), 2)
     )
+
+
+def test_builder_guards():
+    for edges in ([(1,)], [(0, 1)]):
+        with pytest.raises(InputError):
+            matroid_from_graph(edges)
+    with pytest.raises(InputError):
+        matroid_from_matrix(rationals(), [[]])
+    for r, n in ((3, 2), (0, 0)):
+        with pytest.raises(InputError):
+            uniform(r, n)

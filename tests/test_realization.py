@@ -25,6 +25,7 @@ from matroidworks.catalog import (
 )
 from matroidworks.errors import (
     DegreeBudgetExceeded,
+    InputError,
     LoopPresent,
     SearchBudgetExceeded,
     budget,
@@ -50,6 +51,7 @@ from matroidworks.realization import (
     SpaceVerdict,
     _free_indices,
     _search_points,
+    build_parameterized_matrix,
     choose_basis,
     find_realization,
     is_realizable,
@@ -242,10 +244,41 @@ def test_find_realization_round_trip():
     for m, q in ((pappus(), 11), (fano(), 2), (graphic_k4(), 5)):
         real = find_realization(m, q)
         assert real is not None
-        rows = real.rows()
+        rows = real.rows
         assert len(rows) == m.rank
         assert all(len(row) == m.n for row in rows)
         assert matroid_from_matrix(real.field, rows) == m
+
+
+# the first realization each search finds, pinned before find_realization
+# returned the ExactMatrix itself
+REALIZATION_ROWS = [
+    ("pappus", 11, [
+        [1, 0, 1, 1, 1, 0, 1, 1, 0],
+        [0, 1, 1, 2, 2, 0, 3, 0, 1],
+        [0, 0, 0, 1, 8, 1, 1, 10, 8],
+    ]),
+    ("uniform(3,7)", 8, [
+        [(1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+        [(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 0)],
+    ]),
+    ("uniform(3,7)", 9, [
+        [(1, 0), (0, 0), (0, 0), (1, 0), (1, 0), (1, 0), (1, 0)],
+        [(0, 0), (1, 0), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+        [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (2, 0), (2, 2)],
+    ]),
+    ("uniform(0,3)", 2, []),
+]
+
+
+@pytest.mark.parametrize(
+    "name,q,rows", REALIZATION_ROWS, ids=[f"{n}-F{q}" for n, q, _ in REALIZATION_ROWS]
+)
+def test_find_realization_rows(name, q, rows):
+    real = find_realization(catalog(name), q)
+    assert real.field == field_of_order(q)
+    assert [list(row) for row in real.rows] == rows
 
 
 def test_find_realization_none_when_empty():
@@ -259,6 +292,11 @@ def test_search_budget_exceeded():
         is_realizable_over_q(pappus(), 11)
     with budget(search_nodes=7):
         assert is_realizable_over_q(pappus(), 11) is True
+
+
+def test_parameterized_matrix_needs_a_basis():
+    with pytest.raises(InputError):
+        build_parameterized_matrix(fano(), (1, 2, 3))  # a line of the plane
 
 
 def test_loops_rejected():
@@ -278,7 +316,7 @@ def test_rank_zero_and_full_rank():
     # rank 0 has nothing to verify: the realization is the 0 x 3 matrix
     found = find_realization(uniform(0, 3), 2)
     assert found is not None
-    assert (found.matrix.nrows, found.matrix.ncols) == (0, 3)
+    assert (found.nrows, found.ncols) == (0, 3)
 
 
 def test_json_dict_shape():
@@ -364,7 +402,7 @@ def test_search_points_match_full_enumeration(name):
         assert searched(space, q) == [tuple(v.items()) for v in expected]
         real = find_realization(m, q)
         if expected:
-            assert real.rows() == matrix_at(space, expected[0], real.field)
+            assert [list(row) for row in real.rows] == matrix_at(space, expected[0], real.field)
         else:
             assert real is None
     assert checked >= 4
@@ -420,9 +458,9 @@ def count_minors(monkeypatch):
     taken = []
     original = MinorOracle.det
 
-    def counting(self, cols, rows=None):
+    def counting(self, cols):
         taken.append(tuple(cols))
-        return original(self, cols, rows)
+        return original(self, cols)
 
     monkeypatch.setattr(MinorOracle, "det", counting)
     return taken

@@ -278,3 +278,14 @@ def test_permutation_algebra():
     for e in (0, -1, 5):
         with pytest.raises(InputError, match=f"element {e} outside 1..4"):
             p.apply(e)
+
+
+def test_permutation_guards_and_display():
+    with pytest.raises(InputError):
+        Permutation((1, 1))
+    p = Permutation((2, 3, 1))
+    assert p.cycles() == [(1, 2, 3)]
+    assert repr(p) == "Permutation((1 2 3))"
+    assert p == Permutation([2, 3, 1]) and hash(p) == hash(Permutation([2, 3, 1]))
+    assert p != Permutation((1, 2, 3))
+    assert repr(Permutation((1, 2, 3))) == "Permutation(id)"
